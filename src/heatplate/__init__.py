@@ -12,7 +12,7 @@ from .output import (read_field_csv, render_heatmap, write_field_csv,
 from .simulation import (DeviceSpec, InitialCondition, SimulationConfig,
                          SimulationResult, TopsideStatistics, averaged_signals,
                          build_banks, initial_field, run_simulation,
-                         scenario_preset, topside_statistics, with_overrides)
+                         scenario_preset, topside_statistics)
 from .solver import (BoundaryFluxes, assemble_rhs, boundary_fluxes,
                      first_invalid_cell, step_forward_euler, weighted_rhs_sum)
 
@@ -29,6 +29,5 @@ __all__ = [
     "proportional_law", "read_field_csv", "render_heatmap", "run_simulation",
     "scenario_preset", "stability_limit", "step_forward_euler",
     "topside_statistics", "uniform_partitions", "weighted_rhs_sum",
-    "with_overrides", "write_field_csv", "write_run_outputs",
-    "write_signals_csv",
+    "write_field_csv", "write_run_outputs", "write_signals_csv",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -15,7 +16,7 @@ from .config import ConfigError, load_config
 from .grid import Grid, stability_limit
 from .output import write_run_outputs
 from .simulation import (SimulationConfig, averaged_signals, run_simulation,
-                         scenario_preset, topside_statistics, with_overrides)
+                         scenario_preset, topside_statistics)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -72,17 +73,13 @@ def _load(args) -> SimulationConfig:
     return load_config(text)
 
 
-def _apply_overrides(cfg: SimulationConfig, args) -> SimulationConfig:
-    grid = None
-    if getattr(args, "grid", None) is not None:
-        j, k = args.grid
-        grid = Grid(cfg.grid.geometry, J=j, K=k)
-    return with_overrides(cfg, grid=grid, dt=getattr(args, "dt", None),
-                          t_final=getattr(args, "t_final", None))
-
-
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_load(args), args)
+    cfg = _load(args)
+    changes = {"dt": args.dt, "t_final": args.t_final}
+    if args.grid is not None:
+        j, k = args.grid
+        changes["grid"] = Grid(cfg.grid.geometry, J=j, K=k)
+    cfg = replace(cfg, **{key: v for key, v in changes.items() if v is not None})
     result = run_simulation(cfg)
     # no heatmap for a diverged field: the CSVs keep the forensics
     render = args.render and not result.diverged
@@ -102,7 +99,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _apply_overrides(_load(args), args)
+    cfg = _load(args)
     limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
     verdict = "OK" if cfg.dt <= limit else "EXCEEDS the advisory limit"
     print("config OK: "

@@ -16,15 +16,16 @@ from .simulation import SimulationResult, averaged_signals
 
 def write_field_csv(field_values, grid: Grid) -> str:
     """Field table "x1,x2,theta", one row per cell in flat-index order."""
-    field_values = np.asarray(field_values)
-    x1 = grid.x1_centers().tolist()
-    x2 = grid.x2_centers().tolist()
+    rows = np.asarray(field_values).reshape(grid.K, grid.J)
+    x1 = [f"{x!r}," for x in grid.x1_centers().tolist()]
+    # One block of J lines per grid row keeps only one row's strings alive.
     lines = ["x1,x2,theta"]
-    for k in range(grid.K):
-        row = field_values[k * grid.J:(k + 1) * grid.J].tolist()
-        for j in range(grid.J):
-            lines.append(f"{x1[j]!r},{x2[k]!r},{row[j]!r}")
-    return "\n".join(lines) + "\n"
+    for x2, row in zip(grid.x2_centers().tolist(), rows):
+        x2_text = f"{x2!r},"
+        prefixes = [a + x2_text for a in x1]
+        lines.append("\n".join(map(str.__add__, prefixes, map(repr, row.tolist()))))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def read_field_csv(text: str) -> np.ndarray:
@@ -46,13 +47,11 @@ def write_signals_csv(result: SimulationResult) -> str:
     header += [f"y_{n}" for n in range(n_y)]
     header += ["u_avg", "y_avg"]
     lines = [",".join(header)]
-    for i, t in enumerate(times):
-        cells = [repr(float(t))]
-        cells += [repr(float(v)) for v in result.inputs[i]]
-        cells += [repr(float(v)) for v in result.outputs[i]]
-        cells += [repr(float(u_mean[i])), repr(float(y_mean[i]))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    for t, u, y, ua, ya in zip(times.tolist(), result.inputs, result.outputs,
+                               u_mean.tolist(), y_mean.tolist()):
+        lines.append(",".join(map(repr, [t, *u.tolist(), *y.tolist(), ua, ya])))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def render_heatmap(field_values, grid: Grid, theta_lo: float | None = None,

@@ -8,8 +8,9 @@ produce bit-identical results.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,6 +83,13 @@ class SimulationConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not self.t_final > 0:
             raise ValueError(f"t_final must be > 0, got {self.t_final}")
+        steps = self.t_final / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(
+                "time.t_final: must be a whole number (>= 1) of steps dt, "
+                f"got t_final / dt = {steps!r}"
+            )
         if self.snapshot_stride < 1 or self.signal_stride < 1:
             raise ValueError("strides must be >= 1")
         if self.controller.channels != self.actuators.count:
@@ -96,7 +104,7 @@ class SimulationConfig:
             )
 
     def n_steps(self) -> int:
-        """Number of Euler steps; t_final should be a multiple of dt."""
+        """Number of Euler steps; t_final is a whole multiple of dt."""
         return round(self.t_final / self.dt)
 
 
@@ -158,8 +166,8 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     assemble boundary fluxes and the finite-volume rates, then step.
     Signals are logged every `signal_stride` steps and once more for the
     final field; snapshots likewise every `snapshot_stride` steps.  A
-    non-finite or negative temperature halts the loop and returns a result
-    flagged as diverged with the logs collected so far.
+    temperature that is not finite or leaves [0, theta_cap] halts the loop
+    and returns a result flagged as diverged with the logs collected so far.
     """
     grid, material, exchange = cfg.grid, cfg.material, cfg.exchange
     actuators, sensors = build_banks(cfg)
@@ -196,8 +204,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         rhs = assemble_rhs(theta, grid, material, fluxes)
         theta = step_forward_euler(theta, rhs, cfg.dt)
 
-        bad = first_invalid_cell(theta)
-        if bad is not None:
+        # One range test per step; NaN fails both comparisons.  The scan
+        # that locates the offending cell runs only on failure.
+        if not (0 <= theta.min() and theta.max() <= material.theta_cap):
             return SimulationResult(
                 config=cfg,
                 final_field=theta,
@@ -207,7 +216,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
                 outputs=np.array(outputs),
                 diverged=True,
                 divergence_step=step,
-                divergence_cell=bad,
+                divergence_cell=first_invalid_cell(theta, material.theta_cap),
             )
 
     # Closing sample: the readings and the inputs the controller would
@@ -281,16 +290,3 @@ def topside_statistics(result: SimulationResult) -> TopsideStatistics:
         dominant_mode=dominant,
     )
 
-
-def with_overrides(cfg: SimulationConfig, *, grid: Grid | None = None,
-                   dt: float | None = None,
-                   t_final: float | None = None) -> SimulationConfig:
-    """Copy a config with selected fields replaced (CLI override support)."""
-    changes = {}
-    if grid is not None:
-        changes["grid"] = grid
-    if dt is not None:
-        changes["dt"] = dt
-    if t_final is not None:
-        changes["t_final"] = t_final
-    return replace(cfg, **changes) if changes else cfg

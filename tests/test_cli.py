@@ -113,3 +113,16 @@ def test_repeated_runs_write_identical_bytes(tiny_config_path, tmp_path):
                      "--out", str(d)]) == 0
     for name in ("final_field.csv", "signals.csv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-final", "inf"],
+    ["--dt", "inf"],
+    ["--t-final", "1e-9"],
+    ["--dt", "0.003", "--t-final", "0.0045"],
+])
+def test_horizon_override_that_is_not_whole_steps_exits_2(flags, tmp_path, capsys):
+    out_dir = tmp_path / "h"
+    assert main(["run", "--scenario", "1", *flags, "--out", str(out_dir)]) == 2
+    assert "time.t_final" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -48,10 +48,17 @@ class TestValidation:
         ('{"grid": {"J": 2.5}}', r"grid\.J"),
         ('{"grid": {"J": "many"}}', r"grid\.J"),
         ('{"exchange": {"h": null}}', r"exchange\.h"),
+        ('{"time": {"dt": 0.003, "t_final": 0.0045}}', r"time\.t_final"),
+        ('{"time": {"dt": 0.001, "t_final": 1e-9}}', r"time\.t_final"),
+        ('{"time": {"dt": 0.5, "t_final": 0.4}}', r"time\.t_final"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with pytest.raises(ConfigError, match=path):
             load_config(doc)
+
+    def test_horizon_within_rounding_of_whole_steps(self):
+        # 0.05 / 1e-3 is 50.00000000000001 in floating point
+        assert load_config('{"time": {"dt": 1e-3, "t_final": 0.05}}').n_steps() == 50
 
     def test_cross_field_material_positivity(self):
         # c(theta) turns negative inside the admissible range

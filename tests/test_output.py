@@ -1,11 +1,50 @@
 import numpy as np
 import pytest
 
-from heatplate import (Grid, PlateGeometry, read_field_csv, render_heatmap,
-                       run_simulation, write_field_csv, write_run_outputs,
-                       write_signals_csv)
+from heatplate import (Grid, PlateGeometry, averaged_signals, read_field_csv,
+                       render_heatmap, run_simulation, write_field_csv,
+                       write_run_outputs, write_signals_csv)
 
 from test_simulation import short_config
+
+
+def per_cell_field_csv(field_values, grid):
+    """Reference writer: one f-string per cell."""
+    lines = ["x1,x2,theta"]
+    for k, x2 in enumerate(grid.x2_centers().tolist()):
+        for j, x1 in enumerate(grid.x1_centers().tolist()):
+            lines.append(f"{x1!r},{x2!r},{float(field_values[k * grid.J + j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def per_cell_signals_csv(result):
+    """Reference writer: repr(float(v)) per numpy scalar."""
+    times, u_mean, y_mean = averaged_signals(result)
+    n_u, n_y = result.inputs.shape[1], result.outputs.shape[1]
+    header = (["t"] + [f"u_{n}" for n in range(n_u)]
+              + [f"y_{n}" for n in range(n_y)] + ["u_avg", "y_avg"])
+    lines = [",".join(header)]
+    for i, t in enumerate(times):
+        cells = [repr(float(t))]
+        cells += [repr(float(v)) for v in result.inputs[i]]
+        cells += [repr(float(v)) for v in result.outputs[i]]
+        cells += [repr(float(u_mean[i])), repr(float(y_mean[i]))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestByteIdenticalWriters:
+    def test_random_field(self):
+        g = Grid(PlateGeometry(0.3, 0.01), J=37, K=11)
+        field = np.random.default_rng(4).uniform(0.0, 3000.0, g.n_cells)
+        assert write_field_csv(field, g) == per_cell_field_csv(field, g)
+
+    def test_short_run(self):
+        result = run_simulation(short_config(t_final=0.03, snapshot_stride=10))
+        grid = result.config.grid
+        for _, snapshot in result.snapshots:
+            assert write_field_csv(snapshot, grid) == per_cell_field_csv(snapshot, grid)
+        assert write_signals_csv(result) == per_cell_signals_csv(result)
 
 
 @pytest.fixture

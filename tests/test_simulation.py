@@ -117,6 +117,39 @@ class TestRunSimulation:
         assert len(result.signal_times) >= 1
         assert len(result.signal_times) <= result.divergence_step + 1
 
+    def test_crossing_theta_cap_diverges_at_first_hot_cell(self):
+        # the heaters lift the underside past a cap set just above the start
+        cap = 300.5
+        cfg = short_config(
+            material=dataclasses.replace(scenario_preset(1).material, theta_cap=cap),
+            initial=InitialCondition(base=300.0, a0=0.0),
+        )
+        result = run_simulation(cfg)
+        assert result.diverged
+        assert 0 < result.divergence_step < cfg.n_steps()
+        field = result.final_field
+        assert np.isfinite(field).all() and field.min() >= 0
+        assert result.divergence_cell == np.flatnonzero(field > cap)[0]
+
+    def test_loop_calls_public_solver_functions_once_per_step(self, monkeypatch):
+        # the loop must reach the solver through these module names, which
+        # is where tracing wrappers are installed
+        from heatplate import simulation
+        names = ("boundary_fluxes", "assemble_rhs", "step_forward_euler")
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(simulation, name, counting(name, getattr(simulation, name)))
+        cfg = short_config(t_final=0.02)
+        run_simulation(cfg)
+        assert counts == dict.fromkeys(names, cfg.n_steps())
+
     def test_insulated_constant_material_preserves_mean(self):
         cfg = short_config(
             material=ThermalMaterial(rho=7800.0, c0=330.0, c1=0.0,
@@ -188,6 +221,10 @@ class TestConfigValidation:
         dict(t_final=-1.0),
         dict(snapshot_stride=0),
         dict(signal_stride=0),
+        dict(t_final=math.inf),
+        dict(dt=math.inf),
+        dict(t_final=1e-9),
+        dict(dt=0.003, t_final=0.0045),
     ])
     def test_rejects_bad_time_settings(self, overrides):
         with pytest.raises(ValueError):

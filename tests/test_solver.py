@@ -72,6 +72,24 @@ def ghost_cell_rhs(field, grid, material, fluxes):
     return rates.reshape(-1)
 
 
+def face_conductivity_rhs(field, grid, material, fluxes):
+    """Oracle in the conductivity form: each face flux is the conductivity
+    at the mean face temperature times the temperature difference."""
+    T = np.asarray(field).reshape(grid.K, grid.J)
+    balance = np.zeros_like(T)
+    f1 = material.face_conductivity(T[:, :-1], T[:, 1:]) * (T[:, 1:] - T[:, :-1])
+    balance[:, :-1] += f1 / grid.dx1**2
+    balance[:, 1:] -= f1 / grid.dx1**2
+    f2 = material.face_conductivity(T[:-1, :], T[1:, :]) * (T[1:, :] - T[:-1, :])
+    balance[:-1, :] += f2 / grid.dx2**2
+    balance[1:, :] -= f2 / grid.dx2**2
+    balance[:, 0] += fluxes.left / grid.dx1
+    balance[:, -1] += fluxes.right / grid.dx1
+    balance[0, :] += fluxes.underside / grid.dx2
+    balance[-1, :] += fluxes.top / grid.dx2
+    return (balance / material.volumetric_heat_coefficient(T)).reshape(-1)
+
+
 class TestBoundaryFluxes:
     def test_equilibrium_is_all_zero(self, grid, exchange):
         field = np.full(grid.n_cells, 300.0)
@@ -92,6 +110,15 @@ class TestBoundaryFluxes:
         fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.full(5, p))
         assert (fl.underside == p).all()
         assert (fl.top == 0.0).all() and (fl.left == 0.0).all()
+
+    def test_edges_match_per_edge_emission(self, grid, exchange):
+        rng = np.random.default_rng(5)
+        field = rng.uniform(250.0, 450.0, grid.n_cells)
+        T = field.reshape(grid.K, grid.J)
+        fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.zeros(5))
+        assert fl.left == pytest.approx(exchange.emitted_flux(T[:, 0]), rel=1e-14)
+        assert fl.right == pytest.approx(exchange.emitted_flux(T[:, -1]), rel=1e-14)
+        assert fl.top == pytest.approx(exchange.emitted_flux(T[-1, :]), rel=1e-14)
 
     def test_optional_underside_emission(self, grid, exchange):
         field = np.full(grid.n_cells, 400.0)
@@ -137,6 +164,19 @@ class TestAssembleRhs:
             got = assemble_rhs(field, g, material, fluxes)
             want = ghost_cell_rhs(field, g, material, fluxes)
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("J,K", [(7, 5), (100, 40), (400, 160)])
+    def test_matches_face_conductivity_form(self, J, K, material):
+        # the Kirchhoff potential difference equals the mean-conductivity
+        # face flux exactly for affine lambda; only rounding may differ
+        g = Grid(PlateGeometry(0.3, 0.01), J=J, K=K)
+        rng = np.random.default_rng(J * K)
+        for _ in range(5):
+            field = rng.uniform(250.0, 450.0, g.n_cells)
+            fluxes = random_fluxes(g, rng)
+            got = assemble_rhs(field, g, material, fluxes)
+            want = face_conductivity_rhs(field, g, material, fluxes)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_mirror_symmetry(self, material):
         # reflecting field and fluxes about the vertical midline reflects
@@ -226,6 +266,13 @@ class TestFirstInvalidCell:
         field = np.full(grid.n_cells, 300.0)
         field[17] = bad
         assert first_invalid_cell(field) == 17
+
+    def test_upper_bound(self, grid):
+        field = np.full(grid.n_cells, 300.0)
+        field[[23, 40]] = 3000.5
+        assert first_invalid_cell(field) is None
+        assert first_invalid_cell(field, 3000.5) is None
+        assert first_invalid_cell(field, 3000.0) == 23
 
 
 class TestWeightedRhsSum:
