@@ -86,9 +86,11 @@ def _cmd_run(args) -> int:
     written = write_run_outputs(result, args.out, render=render)
     print(f"wrote {len(written)} files to {args.out}")
     if result.diverged:
-        t = result.divergence_step * cfg.dt
+        t = (result.divergence_step + 1) * cfg.dt  # the end of the failed step
+        j, k = cfg.grid.cell_from_flat(result.divergence_cell)
+        theta = result.final_field[result.divergence_cell]
         print(f"DIVERGED at step {result.divergence_step} (t = {t:.6g} s), "
-              f"cell {result.divergence_cell}", file=sys.stderr)
+              f"cell (j, k) = ({j}, {k}), theta = {theta:.6g} K", file=sys.stderr)
         return 1
     _, _, y_mean = averaged_signals(result)
     stats = topside_statistics(result)

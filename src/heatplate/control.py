@@ -32,6 +32,7 @@ class ControllerConfig:
             raise ValueError("all gains must be >= 0")
         if not self.u_min <= self.u_max:
             raise ValueError(f"need u_min <= u_max, got [{self.u_min}, {self.u_max}]")
+        object.__setattr__(self, "_gains", np.array(self.kp))
 
     @property
     def channels(self) -> int:
@@ -54,5 +55,5 @@ def proportional_law(cfg: ControllerConfig, e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.shape != (cfg.channels,):
         raise ValueError(f"expected {cfg.channels} errors, got shape {e.shape}")
-    u = np.where(e > 0, np.array(cfg.kp) * e, 0.0)
-    return np.clip(u, cfg.u_min, cfg.u_max)
+    u = np.where(e > 0, cfg._gains * e, 0.0)
+    return np.minimum(np.maximum(u, cfg.u_min, out=u), cfg.u_max, out=u)

@@ -66,7 +66,7 @@ class ThermalMaterial:
 
     def volumetric_heat_coefficient(self, theta):
         """rho * c(theta), the J/(m^3 K) factor in front of dT/dt."""
-        return self.rho * self.heat_capacity(theta)
+        return theta * (self.rho * self.c1) + self.rho * self.c0
 
 
 @dataclass(frozen=True)

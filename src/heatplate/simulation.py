@@ -192,6 +192,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         outputs.append(y)
         inputs.append(u)
 
+    divergence_step = divergence_cell = None
     for step in range(n_steps):
         y = sensors.measure(theta, grid)
         u = proportional_law(cfg.controller, control_error(cfg.controller, y))
@@ -207,24 +208,16 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         # One range test per step; NaN fails both comparisons.  The scan
         # that locates the offending cell runs only on failure.
         if not (0 <= theta.min() and theta.max() <= material.theta_cap):
-            return SimulationResult(
-                config=cfg,
-                final_field=theta,
-                snapshots=snapshots,
-                signal_times=np.array(times),
-                inputs=np.array(inputs),
-                outputs=np.array(outputs),
-                diverged=True,
-                divergence_step=step,
-                divergence_cell=first_invalid_cell(theta, material.theta_cap),
-            )
-
-    # Closing sample: the readings and the inputs the controller would
-    # command from the final field.
-    y = sensors.measure(theta, grid)
-    u = proportional_law(cfg.controller, control_error(cfg.controller, y))
-    log_signals(n_steps, y, u)
-    snapshots.append((n_steps * cfg.dt, theta.copy()))
+            divergence_step = step
+            divergence_cell = first_invalid_cell(theta, material.theta_cap)
+            break
+    else:
+        # Closing sample: the readings and the inputs the controller would
+        # command from the final field.
+        y = sensors.measure(theta, grid)
+        u = proportional_law(cfg.controller, control_error(cfg.controller, y))
+        log_signals(n_steps, y, u)
+        snapshots.append((n_steps * cfg.dt, theta.copy()))
 
     return SimulationResult(
         config=cfg,
@@ -233,6 +226,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         signal_times=np.array(times),
         inputs=np.array(inputs),
         outputs=np.array(outputs),
+        diverged=divergence_step is not None,
+        divergence_step=divergence_step,
+        divergence_cell=divergence_cell,
     )
 
 

@@ -3,12 +3,14 @@
 Interior face fluxes are differences of the Kirchhoff potential Phi(theta) =
 lambda0*theta + lambda1*theta^2/2, the antiderivative of lambda: for affine
 lambda, Phi(b) - Phi(a) equals lambda((a + b)/2) * (b - a), the flux with the
-conductivity at the mean face temperature, exactly.  Boundary faces
-contribute their prescribed flux divided by the spacing normal to the face:
-substituting the ghost-cell temperature into the interior stencil cancels
-the boundary-face conductivity exactly, so no boundary lambda is evaluated.
-The underside carries the actuator flux; left, right and topside emit to the
-ambient.  Each cell's rate is the flux balance divided by rho*c(theta_cell).
+conductivity at the mean face temperature, exactly.  The kernel works on the
+flat row-major field, where x1 faces join neighbors one apart (except across
+row seams) and x2 faces neighbors J apart.  Boundary faces contribute their
+prescribed flux divided by the spacing normal to the face: substituting the
+ghost-cell temperature into the interior stencil cancels the boundary-face
+conductivity exactly, so no boundary lambda is evaluated.  The underside
+carries the actuator flux; left, right and topside emit to the ambient.
+Each cell's rate is the flux balance divided by rho*c(theta_cell).
 """
 
 from __future__ import annotations
@@ -33,18 +35,14 @@ class BoundaryFluxes:
 
 
 def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
-                    actuators: ActuatorBank, u, *,
-                    underside_emission: bool = False) -> BoundaryFluxes:
+                    actuators: ActuatorBank, u) -> BoundaryFluxes:
     """Evaluate all boundary fluxes for the current field and inputs.
 
     Emission is evaluated at the boundary cell's center temperature.  The
-    underside receives the induced actuator flux only, unless
-    `underside_emission` adds the emission term there as well.
+    underside receives the induced actuator flux only.
     """
     T = np.asarray(field_values).reshape(grid.K, grid.J)
     phi_in = actuators.induced_flux(u)
-    if underside_emission:
-        phi_in = phi_in + exchange.emitted_flux(T[0, :])
     edges = np.concatenate((T[:, 0], T[:, -1], T[-1, :]))
     left, right, top = np.split(exchange.emitted_flux(edges), (grid.K, 2 * grid.K))
     return BoundaryFluxes(underside=phi_in, left=left, right=right, top=top)
@@ -59,35 +57,37 @@ def assemble_rhs(field_values, grid: Grid, material: ThermalMaterial,
     faces; corner cells get one boundary term per axis.  The rate is
     N / (rho*c(theta_cell)).
     """
-    T = np.asarray(field_values).reshape(grid.K, grid.J)
-    potential = T * (material.lambda0 + material.lambda1 / 2 * T)
+    J = grid.J
+    theta = np.asarray(field_values).reshape(-1)
+    potential = theta * (material.lambda0 / grid.dx1**2
+                         + material.lambda1 / (2 * grid.dx1**2) * theta)
 
-    # Each face flux is formed once and enters both adjacent cells with
-    # opposite signs, which makes the interior sum telescope exactly.
-    # Allocation order and the early dels are deliberate: at 400x160 they
-    # let the allocator hand back the same blocks on every step, where
-    # allocating `balance` first or keeping the temporaries alive faults in
-    # 100-200 fresh pages per step (about 15% of the step time).
-    flux = potential[:, 1:] - potential[:, :-1]
-    flux /= grid.dx1**2
-    balance = np.zeros_like(potential)
-    balance[:, :-1] += flux
-    balance[:, 1:] -= flux
+    # `potential` is Phi/dx1^2, so only the x2 fluxes need scaling.  Faces
+    # join flat neighbors, offset 1 along x1 and J along x2, so every pass
+    # is contiguous; the offset-1 pairs across the K-1 row seams are not
+    # faces and get zero flux.  Each face flux enters both cells with
+    # opposite signs, so the interior sum telescopes exactly.  The early
+    # dels let the allocator reuse the same blocks every step; keeping the
+    # temporaries alive faults in ~200 fresh pages per 400x160 step.
+    flux = potential[1:] - potential[:-1]
+    flux[J - 1::J] = 0.0
+    balance = np.append(flux, 0.0)
+    balance[1:] -= flux
     del flux
 
-    flux = potential[1:, :] - potential[:-1, :]
-    flux /= grid.dx2**2
-    balance[:-1, :] += flux
-    balance[1:, :] -= flux
+    flux = potential[J:] - potential[:-J]
+    flux *= grid.dx1**2 / grid.dx2**2
+    balance[:-J] += flux
+    balance[J:] -= flux
     del flux, potential
 
-    balance[:, 0] += fluxes.left / grid.dx1
-    balance[:, -1] += fluxes.right / grid.dx1
-    balance[0, :] += fluxes.underside / grid.dx2
-    balance[-1, :] += fluxes.top / grid.dx2
+    balance[::J] += fluxes.left / grid.dx1
+    balance[J - 1::J] += fluxes.right / grid.dx1
+    balance[:J] += fluxes.underside / grid.dx2
+    balance[-J:] += fluxes.top / grid.dx2
 
-    balance /= material.volumetric_heat_coefficient(T)
-    return balance.reshape(-1)
+    balance /= material.volumetric_heat_coefficient(theta)
+    return balance
 
 
 def step_forward_euler(field_values, rhs, dt: float) -> np.ndarray:

@@ -57,7 +57,9 @@ def test_run_unstable_dt_exits_1(tmp_path, capsys):
     code = main(["run", "--scenario", "1", "--dt", "0.05",
                  "--out", str(tmp_path / "x"), "--render"])
     assert code == 1
-    assert "DIVERGED at step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # step 1 produces the first invalid field, which belongs to t = 2*dt
+    assert "DIVERGED at step 1 (t = 0.1 s), cell (j, k) = (0, 0), theta = -60.088" in err
     # diverged fields are not rendered
     assert not (tmp_path / "x" / "heatmap.pgm").exists()
     assert (tmp_path / "x" / "final_field.csv").exists()

@@ -120,12 +120,6 @@ class TestBoundaryFluxes:
         assert fl.right == pytest.approx(exchange.emitted_flux(T[:, -1]), rel=1e-14)
         assert fl.top == pytest.approx(exchange.emitted_flux(T[-1, :]), rel=1e-14)
 
-    def test_optional_underside_emission(self, grid, exchange):
-        field = np.full(grid.n_cells, 400.0)
-        fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.zeros(5),
-                             underside_emission=True)
-        assert fl.underside == pytest.approx(np.full(grid.J, -1595.35), abs=0.01)
-
 
 class TestAssembleRhs:
     def test_uniform_insulated_field_is_static(self, grid, material):
@@ -154,7 +148,7 @@ class TestAssembleRhs:
                                            + (tn + ts - 2 * tc) / g.dx2**2)
         assert rhs[g.flat_index(1, 1)] == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("J,K", [(3, 3), (4, 4), (3, 5)])
+    @pytest.mark.parametrize("J,K", [(3, 3), (4, 4), (3, 5), (2, 5), (6, 2), (5, 3)])
     def test_matches_ghost_cell_oracle(self, J, K, material):
         g = Grid(PlateGeometry(0.3, 0.01), J=J, K=K)
         rng = np.random.default_rng(100 * J + K)
@@ -177,6 +171,25 @@ class TestAssembleRhs:
             got = assemble_rhs(field, g, material, fluxes)
             want = face_conductivity_rhs(field, g, material, fluxes)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lateral", [0.0, 1.5e3])
+    def test_no_flux_across_row_seams(self, material, lateral):
+        # rows constant in j but steep in k: a flux leaking across the seam
+        # from the last cell of row k to the first of row k+1 would break
+        # the j-independence of each row; equal lateral fluxes touch only
+        # the two end cells, and identically
+        g = Grid(PlateGeometry(0.3, 0.01), J=7, K=5)
+        rows = 250.0 + 12.5 * np.arange(g.K) ** 2
+        field = np.repeat(rows, g.J)
+        fluxes = BoundaryFluxes(underside=np.full(g.J, 4e3),
+                                left=np.full(g.K, lateral),
+                                right=np.full(g.K, lateral),
+                                top=np.full(g.J, -2e3))
+        rates = assemble_rhs(field, g, material, fluxes).reshape(g.K, g.J)
+        assert (rates[:, 1:-1] == rates[:, [1]]).all()
+        assert (rates[:, 0] == rates[:, -1]).all()
+        if lateral == 0.0:
+            assert (rates == rates[:, [0]]).all()
 
     def test_mirror_symmetry(self, material):
         # reflecting field and fluxes about the vertical midline reflects
