@@ -5,7 +5,7 @@ from .config import ConfigError, dump_config, load_config, parse_config
 from .control import ControllerConfig, control_error, proportional_law
 from .devices import (ActuatorBank, BoundaryPartition, Characterization,
                       SensorBank, uniform_partitions)
-from .grid import Grid, PlateGeometry, Side, stability_limit
+from .grid import Grid, PlateGeometry, stability_limit
 from .material import STEFAN_BOLTZMANN, SurfaceExchange, ThermalMaterial
 from .output import (read_field_csv, render_heatmap, write_field_csv,
                      write_run_outputs, write_signals_csv)
@@ -14,20 +14,20 @@ from .simulation import (DeviceSpec, InitialCondition, SimulationConfig,
                          build_banks, initial_field, run_simulation,
                          scenario_preset, topside_statistics)
 from .solver import (BoundaryFluxes, assemble_rhs, boundary_fluxes,
-                     first_invalid_cell, step_forward_euler, weighted_rhs_sum)
+                     step_forward_euler, weighted_rhs_sum, worst_invalid_cell)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActuatorBank", "BoundaryFluxes", "BoundaryPartition", "Characterization",
     "ConfigError", "ControllerConfig", "DeviceSpec", "Grid", "InitialCondition",
-    "PlateGeometry", "STEFAN_BOLTZMANN", "SensorBank", "Side",
-    "SimulationConfig", "SimulationResult", "SurfaceExchange",
-    "ThermalMaterial", "TopsideStatistics", "assemble_rhs", "averaged_signals",
-    "boundary_fluxes", "build_banks", "control_error", "dump_config",
-    "first_invalid_cell", "initial_field", "load_config", "parse_config",
-    "proportional_law", "read_field_csv", "render_heatmap", "run_simulation",
-    "scenario_preset", "stability_limit", "step_forward_euler",
+    "PlateGeometry", "STEFAN_BOLTZMANN", "SensorBank", "SimulationConfig",
+    "SimulationResult", "SurfaceExchange", "ThermalMaterial", "TopsideStatistics",
+    "assemble_rhs", "averaged_signals", "boundary_fluxes", "build_banks",
+    "control_error", "dump_config", "initial_field", "load_config",
+    "parse_config", "proportional_law", "read_field_csv", "render_heatmap",
+    "run_simulation", "scenario_preset", "stability_limit", "step_forward_euler",
     "topside_statistics", "uniform_partitions", "weighted_rhs_sum",
-    "write_field_csv", "write_run_outputs", "write_signals_csv",
+    "worst_invalid_cell", "write_field_csv", "write_run_outputs",
+    "write_signals_csv",
 ]

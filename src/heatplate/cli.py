@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, load_config
-from .grid import Grid, stability_limit
+from .config import ConfigError, config_to_document, load_config, parse_config
+from .grid import stability_limit
 from .output import write_run_outputs
 from .simulation import (SimulationConfig, averaged_signals, run_simulation,
                          scenario_preset, topside_statistics)
@@ -74,12 +73,16 @@ def _load(args) -> SimulationConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
-    changes = {"dt": args.dt, "t_final": args.t_final}
+    # Overrides edit the config document, so they pass the same validation
+    # as a JSON file and their errors name the same paths.
+    doc = config_to_document(_load(args))
     if args.grid is not None:
-        j, k = args.grid
-        changes["grid"] = Grid(cfg.grid.geometry, J=j, K=k)
-    cfg = replace(cfg, **{key: v for key, v in changes.items() if v is not None})
+        doc["grid"]["J"], doc["grid"]["K"] = args.grid
+    if args.dt is not None:
+        doc["time"]["dt"] = args.dt
+    if args.t_final is not None:
+        doc["time"]["t_final"] = args.t_final
+    cfg = parse_config(doc)
     result = run_simulation(cfg)
     # no heatmap for a diverged field: the CSVs keep the forensics
     render = args.render and not result.diverged
@@ -127,7 +130,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         return _cmd_check(args)
     except ValueError as exc:
-        # ConfigError and domain-object rejections of override values
+        # ConfigError, and device banks that do not fit the grid
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -2,8 +2,9 @@
 
 Every section is optional; omitted values fall back to the Scenario-1
 preset.  Unknown keys are rejected so typos surface instead of silently
-running the defaults.  Validation errors name the offending path, e.g.
-"grid.J: must be >= 2".
+running the defaults.  This module checks only JSON types; the range and
+cross-field rules belong to the dataclasses, whose errors are reported
+under the offending document path, e.g. "grid.J: must be >= 2, got 1".
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     return merged
 
 
-def _number(doc, path, *, minimum=None, exclusive_minimum=None, maximum=None,
-            integer=False, allow_null=False):
+def _number(doc, path, *, integer=False, allow_null=False):
+    """The number at `path`, checked for JSON type, finiteness and integrality."""
     section, key = path.split(".")
     value = doc[section][key]
     if value is None and allow_null:
@@ -86,21 +87,26 @@ def _number(doc, path, *, minimum=None, exclusive_minimum=None, maximum=None,
         raise ConfigError(f"{path}: must be finite")
     if integer and value != int(value):
         raise ConfigError(f"{path}: expected an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}")
-    if exclusive_minimum is not None and value <= exclusive_minimum:
-        raise ConfigError(f"{path}: must be > {exclusive_minimum}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}")
     return int(value) if integer else float(value)
 
 
+# Dataclass fields whose document path is not "<section>.<field>".
+_PATHS = {"length": "geometry.L", "height": "geometry.H",
+          "sensors": "sensors.count", "controller": "controller.kp"}
+
+
 def _build(section, factory, **kwargs):
-    """Construct a domain object, mapping ValueError onto the section path."""
+    """Construct a domain object, mapping its ValueError onto a document path.
+
+    The dataclasses raise ValueError("<field>: <reason>"); the path is
+    "<section>.<field>" unless _PATHS names another.
+    """
     try:
         return factory(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        field, _, reason = str(exc).partition(": ")
+        path = _PATHS.get(field, f"{section}.{field}")
+        raise ConfigError(f"{path}: {reason}") from exc
 
 
 def parse_config(document: dict) -> SimulationConfig:
@@ -109,92 +115,87 @@ def parse_config(document: dict) -> SimulationConfig:
         raise ConfigError("top level: expected an object")
     doc = _merge(config_to_document(scenario_preset(1)), document)
 
-    length = _number(doc, "geometry.L", exclusive_minimum=0.0)
-    height = _number(doc, "geometry.H", exclusive_minimum=0.0)
-    J = _number(doc, "grid.J", minimum=2, integer=True)
-    K = _number(doc, "grid.K", minimum=2, integer=True)
-
+    geometry = _build(
+        "geometry", PlateGeometry,
+        length=_number(doc, "geometry.L"),
+        height=_number(doc, "geometry.H"),
+    )
+    grid = _build(
+        "grid", Grid,
+        geometry=geometry,
+        J=_number(doc, "grid.J", integer=True),
+        K=_number(doc, "grid.K", integer=True),
+    )
     material = _build(
         "material", ThermalMaterial,
-        rho=_number(doc, "material.rho", exclusive_minimum=0.0),
-        c0=_number(doc, "material.c0", exclusive_minimum=0.0),
+        rho=_number(doc, "material.rho"),
+        c0=_number(doc, "material.c0"),
         c1=_number(doc, "material.c1"),
-        lambda0=_number(doc, "material.lambda0", exclusive_minimum=0.0),
+        lambda0=_number(doc, "material.lambda0"),
         lambda1=_number(doc, "material.lambda1"),
     )
     exchange = _build(
         "exchange", SurfaceExchange,
-        h=_number(doc, "exchange.h", minimum=0.0),
-        emissivity=_number(doc, "exchange.emissivity", minimum=0.0, maximum=1.0),
-        sigma=_number(doc, "exchange.sigma", exclusive_minimum=0.0),
-        theta_amb=_number(doc, "exchange.theta_amb", minimum=0.0),
+        h=_number(doc, "exchange.h"),
+        emissivity=_number(doc, "exchange.emissivity"),
+        sigma=_number(doc, "exchange.sigma"),
+        theta_amb=_number(doc, "exchange.theta_amb"),
     )
 
     def device_spec(section):
         return _build(
             section, DeviceSpec,
-            count=_number(doc, f"{section}.count", minimum=1, integer=True),
-            m=_number(doc, f"{section}.m", minimum=0.0, maximum=1.0),
-            M=_number(doc, f"{section}.M", minimum=0.0),
-            nu=_number(doc, f"{section}.nu", minimum=0.0),
+            count=_number(doc, f"{section}.count", integer=True),
+            m=_number(doc, f"{section}.m"),
+            M=_number(doc, f"{section}.M"),
+            nu=_number(doc, f"{section}.nu"),
         )
 
     actuators = device_spec("actuators")
     sensors = device_spec("sensors")
 
-    kp_raw = doc["controller"]["kp"]
-    if isinstance(kp_raw, (int, float)) and not isinstance(kp_raw, bool):
-        kp = (float(kp_raw),) * actuators.count
-    elif isinstance(kp_raw, list):
-        if len(kp_raw) != actuators.count:
-            raise ConfigError(
-                f"controller.kp: expected {actuators.count} gains, got {len(kp_raw)}"
-            )
+    kp = doc["controller"]["kp"]
+    if isinstance(kp, list):
         if not all(isinstance(g, (int, float)) and not isinstance(g, bool)
-                   and math.isfinite(g) for g in kp_raw):
+                   and math.isfinite(g) for g in kp):
             raise ConfigError("controller.kp: gains must be finite numbers")
-        kp = tuple(float(g) for g in kp_raw)
+        kp = tuple(float(g) for g in kp)
     else:
-        raise ConfigError("controller.kp: expected a number or a list of numbers")
-    if any(g < 0 for g in kp):
-        raise ConfigError("controller.kp: must be >= 0")
+        kp = (_number(doc, "controller.kp"),) * actuators.count
 
     u_max = _number(doc, "controller.u_max", allow_null=True)
     controller = _build(
         "controller", ControllerConfig,
         kp=kp,
-        y_ref=_number(doc, "controller.y_ref", minimum=0.0),
+        y_ref=_number(doc, "controller.y_ref"),
         u_min=_number(doc, "controller.u_min"),
         u_max=math.inf if u_max is None else u_max,
     )
 
     initial = _build(
         "initial", InitialCondition,
-        base=_number(doc, "initial.base", minimum=0.0),
+        base=_number(doc, "initial.base"),
         a0=_number(doc, "initial.a0"),
         a1=_number(doc, "initial.a1"),
         a2=_number(doc, "initial.a2"),
     )
 
-    try:
-        return SimulationConfig(
-            grid=Grid(PlateGeometry(length, height), J=J, K=K),
-            material=material,
-            exchange=exchange,
-            actuators=actuators,
-            sensors=sensors,
-            controller=controller,
-            initial=initial,
-            dt=_number(doc, "time.dt", exclusive_minimum=0.0),
-            t_final=_number(doc, "time.t_final", exclusive_minimum=0.0),
-            snapshot_stride=_number(doc, "time.snapshot_stride", minimum=1,
-                                    integer=True),
-            signal_stride=_number(doc, "time.signal_stride", minimum=1,
-                                  integer=True),
-        )
-    except ValueError as exc:
-        # cross-field constraints surfaced by the dataclass validators
-        raise ConfigError(str(exc)) from exc
+    # SimulationConfig's own fields form the time section; its cross-field
+    # errors name the counts or gains they compare, through _PATHS.
+    return _build(
+        "time", SimulationConfig,
+        grid=grid,
+        material=material,
+        exchange=exchange,
+        actuators=actuators,
+        sensors=sensors,
+        controller=controller,
+        initial=initial,
+        dt=_number(doc, "time.dt"),
+        t_final=_number(doc, "time.t_final"),
+        snapshot_stride=_number(doc, "time.snapshot_stride", integer=True),
+        signal_stride=_number(doc, "time.signal_stride", integer=True),
+    )
 
 
 def load_config(text: str) -> SimulationConfig:

@@ -29,9 +29,11 @@ class ControllerConfig:
     def __post_init__(self):
         object.__setattr__(self, "kp", tuple(float(g) for g in self.kp))
         if any(g < 0 for g in self.kp):
-            raise ValueError("all gains must be >= 0")
+            raise ValueError("kp: all gains must be >= 0")
+        if self.y_ref < 0:
+            raise ValueError(f"y_ref: must be >= 0, got {self.y_ref}")
         if not self.u_min <= self.u_max:
-            raise ValueError(f"need u_min <= u_max, got [{self.u_min}, {self.u_max}]")
+            raise ValueError(f"u_min: {self.u_min} exceeds u_max = {self.u_max}")
         object.__setattr__(self, "_gains", np.array(self.kp))
 
     @property

@@ -57,13 +57,13 @@ class Characterization:
 
     def __post_init__(self):
         if not 0 <= self.m <= 1:
-            raise ValueError(f"m must be in [0, 1], got {self.m}")
+            raise ValueError(f"m: must be in [0, 1], got {self.m}")
         if self.M < 0:
-            raise ValueError(f"M must be >= 0, got {self.M}")
+            raise ValueError(f"M: must be >= 0, got {self.M}")
         if self.nu < 0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
+            raise ValueError(f"nu: must be >= 0, got {self.nu}")
         if self.nu == 0 and self.M == 0:
-            raise ValueError("nu = 0 together with M = 0 is ambiguous (0**0)")
+            raise ValueError("nu: must be > 0 when M = 0 (0**0 is ambiguous)")
 
     def value(self, partition: BoundaryPartition, x):
         """Profile value at x: the bump inside the partition, 0 outside."""

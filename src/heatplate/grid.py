@@ -7,19 +7,11 @@ row k = K-1 occupies the last J entries of a field vector.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .material import ThermalMaterial
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    BOTTOM = "bottom"
-    TOP = "top"
 
 
 @dataclass(frozen=True)
@@ -31,9 +23,9 @@ class PlateGeometry:
 
     def __post_init__(self):
         if not self.length > 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+            raise ValueError(f"length: must be > 0, got {self.length}")
         if not self.height > 0:
-            raise ValueError(f"height must be > 0, got {self.height}")
+            raise ValueError(f"height: must be > 0, got {self.height}")
 
 
 @dataclass(frozen=True)
@@ -50,9 +42,9 @@ class Grid:
 
     def __post_init__(self):
         if self.J < 2:
-            raise ValueError(f"J must be >= 2, got {self.J}")
+            raise ValueError(f"J: must be >= 2, got {self.J}")
         if self.K < 2:
-            raise ValueError(f"K must be >= 2, got {self.K}")
+            raise ValueError(f"K: must be >= 2, got {self.K}")
 
     @property
     def dx1(self) -> float:
@@ -65,10 +57,6 @@ class Grid:
     @property
     def n_cells(self) -> int:
         return self.J * self.K
-
-    def cell_center(self, j: int, k: int) -> tuple[float, float]:
-        """Center coordinates ((j + 1/2)*dx1, (k + 1/2)*dx2) of cell (j, k)."""
-        return (j + 0.5) * self.dx1, (k + 0.5) * self.dx2
 
     def x1_centers(self) -> np.ndarray:
         """x1 coordinates of all column centers, length J."""
@@ -86,19 +74,6 @@ class Grid:
         """Inverse of flat_index: (j, k) for a flat offset."""
         k, j = divmod(offset, self.J)
         return j, k
-
-    def boundary_sides(self, j: int, k: int) -> set[Side]:
-        """Which domain boundaries cell (j, k) touches; corners carry two."""
-        sides = set()
-        if j == 0:
-            sides.add(Side.LEFT)
-        if j == self.J - 1:
-            sides.add(Side.RIGHT)
-        if k == 0:
-            sides.add(Side.BOTTOM)
-        if k == self.K - 1:
-            sides.add(Side.TOP)
-        return sides
 
 
 def stability_limit(grid: Grid, material: ThermalMaterial, theta_ref: float) -> float:

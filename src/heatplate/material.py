@@ -39,19 +39,18 @@ class ThermalMaterial:
 
     def __post_init__(self):
         if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
+            raise ValueError(f"rho: must be > 0, got {self.rho}")
         if not self.theta_cap > 0:
-            raise ValueError(f"theta_cap must be > 0, got {self.theta_cap}")
-        for name, v0, v1 in (("heat capacity", self.c0, self.c1),
-                             ("thermal conductivity", self.lambda0, self.lambda1)):
-            if not (v0 > 0 and v0 + v1 * self.theta_cap > 0):
+            raise ValueError(f"theta_cap: must be > 0, got {self.theta_cap}")
+        for law, offset, slope in (("heat capacity", "c0", "c1"),
+                                   ("thermal conductivity", "lambda0", "lambda1")):
+            v0, v1 = getattr(self, offset), getattr(self, slope)
+            if not v0 > 0:
+                raise ValueError(f"{offset}: must be > 0, got {v0}")
+            if not v0 + v1 * self.theta_cap > 0:
                 raise ValueError(
-                    f"{name} must stay positive on [0, {self.theta_cap}] K"
+                    f"{slope}: {law} must stay positive on [0, {self.theta_cap}] K"
                 )
-
-    def heat_capacity(self, theta):
-        """c(theta) = c0 + c1*theta, elementwise over arrays."""
-        return self.c0 + self.c1 * theta
 
     def thermal_conductivity(self, theta):
         """lambda(theta) = lambda0 + lambda1*theta, elementwise over arrays."""
@@ -80,13 +79,13 @@ class SurfaceExchange:
 
     def __post_init__(self):
         if self.h < 0:
-            raise ValueError(f"h must be >= 0, got {self.h}")
+            raise ValueError(f"h: must be >= 0, got {self.h}")
         if not 0 <= self.emissivity <= 1:
-            raise ValueError(f"emissivity must be in [0, 1], got {self.emissivity}")
+            raise ValueError(f"emissivity: must be in [0, 1], got {self.emissivity}")
         if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+            raise ValueError(f"sigma: must be > 0, got {self.sigma}")
         if self.theta_amb < 0:
-            raise ValueError(f"theta_amb must be >= 0, got {self.theta_amb}")
+            raise ValueError(f"theta_amb: must be >= 0, got {self.theta_amb}")
 
     def emitted_flux(self, theta):
         """Heat flux through a free surface at temperature theta, W/m^2.

@@ -18,8 +18,8 @@ from .control import ControllerConfig, control_error, proportional_law
 from .devices import ActuatorBank, Characterization, SensorBank, uniform_partitions
 from .grid import Grid, PlateGeometry, stability_limit
 from .material import SurfaceExchange, ThermalMaterial
-from .solver import (assemble_rhs, boundary_fluxes, first_invalid_cell,
-                     step_forward_euler)
+from .solver import (assemble_rhs, boundary_fluxes, step_forward_euler,
+                     worst_invalid_cell)
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class InitialCondition:
 
     def __post_init__(self):
         if self.base < 0:
-            raise ValueError(f"base must be >= 0, got {self.base}")
+            raise ValueError(f"base: must be >= 0, got {self.base}")
         if self.base - abs(self.a0) < 0:
-            raise ValueError("base - |a0| must be >= 0 to keep the field non-negative")
+            raise ValueError("a0: |a0| must be <= base to keep the field non-negative")
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,8 @@ class DeviceSpec:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.nu == 0 and self.M == 0:
-            raise ValueError("nu = 0 together with M = 0 is ambiguous (0**0)")
+            raise ValueError(f"count: must be >= 1, got {self.count}")
+        Characterization(self.m, self.M, self.nu, 0.0)  # checks m, M and nu
 
 
 @dataclass(frozen=True)
@@ -80,27 +79,28 @@ class SimulationConfig:
 
     def __post_init__(self):
         if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+            raise ValueError(f"dt: must be > 0, got {self.dt}")
         if not self.t_final > 0:
-            raise ValueError(f"t_final must be > 0, got {self.t_final}")
+            raise ValueError(f"t_final: must be > 0, got {self.t_final}")
         steps = self.t_final / self.dt
         if not (math.isfinite(steps) and round(steps) >= 1
                 and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ValueError(
-                "time.t_final: must be a whole number (>= 1) of steps dt, "
+                "t_final: must be a whole number (>= 1) of steps dt, "
                 f"got t_final / dt = {steps!r}"
             )
-        if self.snapshot_stride < 1 or self.signal_stride < 1:
-            raise ValueError("strides must be >= 1")
+        for name in ("snapshot_stride", "signal_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.controller.channels != self.actuators.count:
             raise ValueError(
-                f"controller has {self.controller.channels} channels but "
+                f"controller: got {self.controller.channels} gains for "
                 f"{self.actuators.count} actuators"
             )
         if self.sensors.count != self.actuators.count:
             raise ValueError(
-                f"channel pairing needs equal counts, got {self.sensors.count} "
-                f"sensors and {self.actuators.count} actuators"
+                "sensors: channel pairing needs equal counts, got "
+                f"{self.sensors.count} sensors and {self.actuators.count} actuators"
             )
 
     def n_steps(self) -> int:
@@ -114,7 +114,8 @@ class SimulationResult:
 
     `signal_times` rows align with `inputs` and `outputs`.  On divergence
     the logs are partial, `final_field` holds the offending field and
-    `divergence_step`/`divergence_cell` locate the first bad entry.
+    `divergence_step`/`divergence_cell` locate its worst entry: a non-finite
+    one, else the one farthest outside [0, theta_cap].
     """
 
     config: SimulationConfig
@@ -206,10 +207,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         theta = step_forward_euler(theta, rhs, cfg.dt)
 
         # One range test per step; NaN fails both comparisons.  The scan
-        # that locates the offending cell runs only on failure.
+        # that locates the worst cell runs only on failure.
         if not (0 <= theta.min() and theta.max() <= material.theta_cap):
             divergence_step = step
-            divergence_cell = first_invalid_cell(theta, material.theta_cap)
+            divergence_cell = worst_invalid_cell(theta, material.theta_cap)
             break
     else:
         # Closing sample: the readings and the inputs the controller would

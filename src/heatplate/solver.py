@@ -97,16 +97,20 @@ def step_forward_euler(field_values, rhs, dt: float) -> np.ndarray:
     return field_values + dt * rhs
 
 
-def first_invalid_cell(field_values, theta_cap: float = np.inf) -> int | None:
-    """Flat index of the first non-finite, negative or above-cap entry, else None.
+def worst_invalid_cell(field_values, theta_cap: float = np.inf) -> int | None:
+    """Flat index of the entry farthest outside [0, theta_cap], else None.
 
-    Any of these marks a diverged explicit run: absolute temperatures are
-    non-negative by contract, and the material laws hold up to theta_cap.
+    Any entry outside marks a diverged explicit run: absolute temperatures
+    are non-negative by contract, and the material laws hold up to
+    theta_cap.  A non-finite entry counts as farthest out; ties go to the
+    lowest index.
     """
-    bad = ~np.isfinite(field_values) | (field_values < 0) | (field_values > theta_cap)
-    if bad.any():
-        return int(np.argmax(bad))
-    return None
+    theta = np.asarray(field_values, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf when theta_cap is inf
+        excess = np.maximum(-theta, theta - theta_cap)
+    excess[~np.isfinite(theta)] = np.inf
+    worst = int(np.argmax(excess))
+    return worst if excess[worst] > 0 else None
 
 
 def weighted_rhs_sum(field_values, rhs, grid: Grid,

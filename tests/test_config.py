@@ -51,6 +51,25 @@ class TestValidation:
         ('{"time": {"dt": 0.003, "t_final": 0.0045}}', r"time\.t_final"),
         ('{"time": {"dt": 0.001, "t_final": 1e-9}}', r"time\.t_final"),
         ('{"time": {"dt": 0.5, "t_final": 0.4}}', r"time\.t_final"),
+        ('{"geometry": {"H": 0}}', r"geometry\.H"),
+        ('{"grid": {"K": 1}}', r"grid\.K"),
+        ('{"material": {"c0": 0}}', r"material\.c0"),
+        ('{"material": {"lambda0": 0}}', r"material\.lambda0"),
+        ('{"material": {"lambda1": -0.01}}', r"material\.lambda1"),
+        ('{"exchange": {"h": -1}}', r"exchange\.h"),
+        ('{"exchange": {"sigma": 0}}', r"exchange\.sigma"),
+        ('{"exchange": {"theta_amb": -1}}', r"exchange\.theta_amb"),
+        ('{"actuators": {"count": 0}}', r"actuators\.count"),
+        ('{"actuators": {"m": 1.5}}', r"actuators\.m"),
+        ('{"actuators": {"M": -1}}', r"actuators\.M"),
+        ('{"actuators": {"nu": 0}}', r"actuators\.nu"),
+        ('{"sensors": {"nu": -1}}', r"sensors\.nu"),
+        ('{"sensors": {"count": 4}}', r"sensors\.count"),
+        ('{"controller": {"kp": Infinity}}', r"controller\.kp"),
+        ('{"controller": {"y_ref": -1}}', r"controller\.y_ref"),
+        ('{"controller": {"u_min": 10, "u_max": 5}}', r"controller\.u_min"),
+        ('{"time": {"t_final": -1}}', r"time\.t_final"),
+        ('{"time": {"signal_stride": 0}}', r"time\.signal_stride"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with pytest.raises(ConfigError, match=path):

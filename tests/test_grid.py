@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heatplate import Grid, PlateGeometry, Side, ThermalMaterial, stability_limit
+from heatplate import Grid, PlateGeometry, ThermalMaterial, stability_limit
 
 
 def test_reference_grid_spacing(grid):
@@ -32,19 +32,6 @@ def test_rejects_bad_geometry(L, H):
         PlateGeometry(L, H)
 
 
-class TestCellCenter:
-    def test_first_cell(self, grid):
-        assert grid.cell_center(0, 0) == pytest.approx((1.5e-3, 1.25e-4), rel=1e-12)
-
-    def test_last_cell(self, grid):
-        # (99.5*3e-3, 39.5*2.5e-4) by direct evaluation
-        assert grid.cell_center(99, 39) == pytest.approx((0.2985, 0.009875), rel=1e-12)
-
-    def test_quarter_point(self):
-        g = Grid(PlateGeometry(1.0, 1.0), J=2, K=2)
-        assert g.cell_center(0, 0) == (0.25, 0.25)
-
-
 class TestFlatIndex:
     def test_reference_offsets(self, grid):
         assert grid.flat_index(0, 0) == 0
@@ -61,19 +48,6 @@ class TestFlatIndex:
                 assert g.cell_from_flat(offset) == (j, k)
                 seen.add(offset)
         assert len(seen) == g.n_cells
-
-
-class TestBoundarySides:
-    def test_corners_and_interior(self, grid):
-        assert grid.boundary_sides(0, 0) == {Side.LEFT, Side.BOTTOM}
-        assert grid.boundary_sides(99, 39) == {Side.RIGHT, Side.TOP}
-        assert grid.boundary_sides(50, 20) == set()
-
-    def test_boundary_cell_count(self):
-        g = Grid(PlateGeometry(0.3, 0.01), J=9, K=6)
-        n_boundary = sum(bool(g.boundary_sides(j, k))
-                         for k in range(g.K) for j in range(g.J))
-        assert n_boundary == 2 * g.J + 2 * g.K - 4
 
 
 def test_spacing_times_count_recovers_extent(grid):

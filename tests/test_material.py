@@ -4,17 +4,6 @@ import pytest
 from heatplate import SurfaceExchange, ThermalMaterial
 
 
-class TestHeatCapacity:
-    def test_reference_values(self, material):
-        assert material.heat_capacity(0.0) == 330.0
-        assert material.heat_capacity(300.0) == pytest.approx(450.0, rel=1e-12)
-
-    def test_zero_slope_is_constant(self):
-        mat = ThermalMaterial(rho=7800, c0=330, c1=0.0, lambda0=10, lambda1=0.1)
-        for theta in (0.0, 123.4, 2999.0):
-            assert mat.heat_capacity(theta) == 330.0
-
-
 class TestThermalConductivity:
     def test_reference_values(self, material):
         assert material.thermal_conductivity(0.0) == 10.0
@@ -96,7 +85,7 @@ class TestValidation:
     def test_negative_slopes_fine_with_smaller_cap(self):
         mat = ThermalMaterial(rho=7800, c0=330, c1=-0.2, lambda0=10, lambda1=-0.01,
                               theta_cap=500.0)
-        assert mat.heat_capacity(500.0) > 0
+        assert mat.volumetric_heat_coefficient(500.0) > 0
 
     @pytest.mark.parametrize("kwargs", [
         dict(h=-1.0, emissivity=0.6),

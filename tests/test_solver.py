@@ -3,9 +3,9 @@ import pytest
 
 from heatplate import (ActuatorBank, BoundaryFluxes, Characterization, Grid,
                        PlateGeometry, SurfaceExchange, ThermalMaterial,
-                       assemble_rhs, boundary_fluxes, first_invalid_cell,
-                       step_forward_euler, stability_limit, uniform_partitions,
-                       weighted_rhs_sum)
+                       assemble_rhs, boundary_fluxes, step_forward_euler,
+                       stability_limit, uniform_partitions, weighted_rhs_sum,
+                       worst_invalid_cell)
 
 INSULATED = SurfaceExchange(h=0.0, emissivity=0.0, theta_amb=300.0)
 
@@ -264,7 +264,7 @@ class TestStepForwardEuler:
                 fl = boundary_fluxes(field, grid, exchange, bank, np.full(5, 1e6))
                 rhs = assemble_rhs(field, grid, material, fl)
                 field = step_forward_euler(field, rhs, dt)
-                if first_invalid_cell(field) is not None:
+                if worst_invalid_cell(field) is not None:
                     diverged_at = step
                     break
         assert diverged_at is not None
@@ -272,20 +272,29 @@ class TestStepForwardEuler:
 
 class TestFirstInvalidCell:
     def test_clean_field(self, grid):
-        assert first_invalid_cell(np.full(grid.n_cells, 300.0)) is None
+        assert worst_invalid_cell(np.full(grid.n_cells, 300.0)) is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_flags_first_offender(self, grid, bad):
         field = np.full(grid.n_cells, 300.0)
         field[17] = bad
-        assert first_invalid_cell(field) == 17
+        assert worst_invalid_cell(field) == 17
 
     def test_upper_bound(self, grid):
         field = np.full(grid.n_cells, 300.0)
         field[[23, 40]] = 3000.5
-        assert first_invalid_cell(field) is None
-        assert first_invalid_cell(field, 3000.5) is None
-        assert first_invalid_cell(field, 3000.0) == 23
+        assert worst_invalid_cell(field) is None
+        assert worst_invalid_cell(field, 3000.5) is None
+        assert worst_invalid_cell(field, 3000.0) == 23
+
+    def test_farthest_offender_wins(self, grid):
+        field = np.full(grid.n_cells, 300.0)
+        field[[5, 64]] = -60.0, -176.0
+        assert worst_invalid_cell(field) == 64
+        field[70] = 3176.5  # farther above the cap than 64 is below zero
+        assert worst_invalid_cell(field, 3000.0) == 70
+        field[90] = np.nan  # a non-finite entry beats any finite one
+        assert worst_invalid_cell(field, 3000.0) == 90
 
 
 class TestWeightedRhsSum:
