@@ -135,6 +135,7 @@ def test_repeated_runs_write_identical_bytes(tiny_config_path, tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--t-final", "inf"],
+    ["--dt", "1e300"],
     ["--t-final", "1e-9"],
     ["--dt", "0.003", "--t-final", "0.0045"],
 ])
