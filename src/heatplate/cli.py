@@ -130,7 +130,7 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         return _cmd_check(args)
     except ValueError as exc:
-        # ConfigError, and device banks that do not fit the grid
+        # ConfigError names the document path of the rejected value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

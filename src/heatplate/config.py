@@ -16,7 +16,7 @@ from .control import ControllerConfig
 from .grid import Grid, PlateGeometry
 from .material import SurfaceExchange, ThermalMaterial
 from .simulation import (DeviceSpec, InitialCondition, SimulationConfig,
-                         scenario_preset)
+                         build_banks, scenario_preset)
 
 
 class ConfigError(ValueError):
@@ -32,7 +32,8 @@ def config_to_document(cfg: SimulationConfig) -> dict:
         "grid": {"J": cfg.grid.J, "K": cfg.grid.K},
         "material": {"rho": cfg.material.rho, "c0": cfg.material.c0,
                      "c1": cfg.material.c1, "lambda0": cfg.material.lambda0,
-                     "lambda1": cfg.material.lambda1},
+                     "lambda1": cfg.material.lambda1,
+                     "theta_cap": cfg.material.theta_cap},
         "exchange": {"h": cfg.exchange.h, "emissivity": cfg.exchange.emissivity,
                      "sigma": cfg.exchange.sigma, "theta_amb": cfg.exchange.theta_amb},
         "actuators": {"count": cfg.actuators.count, "m": cfg.actuators.m,
@@ -133,6 +134,7 @@ def parse_config(document: dict) -> SimulationConfig:
         c1=_number(doc, "material.c1"),
         lambda0=_number(doc, "material.lambda0"),
         lambda1=_number(doc, "material.lambda1"),
+        theta_cap=_number(doc, "material.theta_cap"),
     )
     exchange = _build(
         "exchange", SurfaceExchange,
@@ -182,7 +184,7 @@ def parse_config(document: dict) -> SimulationConfig:
 
     # SimulationConfig's own fields form the time section; its cross-field
     # errors name the counts or gains they compare, through _PATHS.
-    return _build(
+    cfg = _build(
         "time", SimulationConfig,
         grid=grid,
         material=material,
@@ -196,6 +198,13 @@ def parse_config(document: dict) -> SimulationConfig:
         snapshot_stride=_number(doc, "time.snapshot_stride", integer=True),
         signal_stride=_number(doc, "time.signal_stride", integer=True),
     )
+    # Banks that do not fit the grid fail here, under their spec's path, so
+    # `check` rejects what `run` would.
+    try:
+        build_banks(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def load_config(text: str) -> SimulationConfig:

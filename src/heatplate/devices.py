@@ -105,7 +105,8 @@ def _weight_table(grid, partitions, characterizations, kind):
     for n, (part, char) in enumerate(zip(partitions, characterizations)):
         table[n] = char.value(part, x)
         if not part.contains(x).any():
-            raise ValueError(f"{kind} {n} covers no cell center")
+            raise ValueError(f"count: {kind} {n} of {len(partitions)} covers no "
+                             f"cell center on J = {grid.J} columns")
     return table
 
 
@@ -153,7 +154,7 @@ class SensorBank:
         mass = table.sum(axis=1) * grid.dx1  # midpoint quadrature of int g dx
         if not (mass > 0).all():
             bad = int(np.argmin(mass))
-            raise ValueError(f"sensor {bad} has zero quadrature mass")
+            raise ValueError(f"m: sensor {bad} has zero quadrature mass")
         return cls(tuple(partitions), tuple(characterizations), table, mass)
 
     @property

@@ -6,6 +6,7 @@ bit-exactly.  Files use LF line endings and UTF-8.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -14,18 +15,18 @@ from .grid import Grid
 from .simulation import SimulationResult, averaged_signals
 
 
-def write_field_csv(field_values, grid: Grid) -> str:
-    """Field table "x1,x2,theta", one row per cell in flat-index order."""
+def write_field_csv(field_values, grid: Grid, file) -> None:
+    """Field table "x1,x2,theta", one row per cell in flat-index order,
+    written into an open text file."""
     rows = np.asarray(field_values).reshape(grid.K, grid.J)
     x1 = [f"{x!r}," for x in grid.x1_centers().tolist()]
+    file.write("x1,x2,theta\n")
     # One block of J lines per grid row keeps only one row's strings alive.
-    lines = ["x1,x2,theta"]
     for x2, row in zip(grid.x2_centers().tolist(), rows):
         x2_text = f"{x2!r},"
         prefixes = [a + x2_text for a in x1]
-        lines.append("\n".join(map(str.__add__, prefixes, map(repr, row.tolist()))))
-    lines.append("")
-    return "\n".join(lines)
+        file.write("\n".join(map(str.__add__, prefixes, map(repr, row.tolist()))))
+        file.write("\n")
 
 
 def read_field_csv(text: str) -> np.ndarray:
@@ -34,10 +35,11 @@ def read_field_csv(text: str) -> np.ndarray:
     return np.array([float(line.split(",")[2]) for line in lines[1:]])
 
 
-def write_signals_csv(result: SimulationResult) -> str:
-    """Signal log with per-channel inputs/outputs plus channel averages.
+def write_signals_csv(result: SimulationResult, file) -> None:
+    """Signal log with per-channel inputs/outputs plus channel averages,
+    written into an open text file.
 
-    Header "t,u_0..,y_0..,u_avg,y_avg"; one row per logged time.
+    Header "t,u_0..,y_0..,u_avg,y_avg"; one line per logged time.
     """
     times, u_mean, y_mean = averaged_signals(result)
     n_u = result.inputs.shape[1]
@@ -46,12 +48,10 @@ def write_signals_csv(result: SimulationResult) -> str:
     header += [f"u_{n}" for n in range(n_u)]
     header += [f"y_{n}" for n in range(n_y)]
     header += ["u_avg", "y_avg"]
-    lines = [",".join(header)]
+    file.write(",".join(header) + "\n")
     for t, u, y, ua, ya in zip(times.tolist(), result.inputs, result.outputs,
                                u_mean.tolist(), y_mean.tolist()):
-        lines.append(",".join(map(repr, [t, *u.tolist(), *y.tolist(), ua, ya])))
-    lines.append("")
-    return "\n".join(lines)
+        file.write(",".join(map(repr, [t, *u.tolist(), *y.tolist(), ua, ya])) + "\n")
 
 
 def render_heatmap(field_values, grid: Grid, theta_lo: float | None = None,
@@ -83,22 +83,31 @@ def render_heatmap(field_values, grid: Grid, theta_lo: float | None = None,
 def write_run_outputs(result: SimulationResult, out_dir, *,
                       render: bool = False) -> list[Path]:
     """Write final_field.csv, snapshot_NNNN.csv, signals.csv and optionally
-    heatmap.pgm into out_dir; returns the written paths."""
+    heatmap.pgm into out_dir; returns the written paths.
+
+    The CSV writers stream into the open files.  A snapshot that is the
+    final field itself is copied from final_field.csv, not formatted again.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = result.config.grid
     written = []
 
-    def write_text(name, text):
+    def write_csv(name, writer, *args):
         path = out / name
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as file:
+            writer(*args, file)
         written.append(path)
 
-    write_text("final_field.csv", write_field_csv(result.final_field, grid))
+    write_csv("final_field.csv", write_field_csv, result.final_field, grid)
     for i, (_, snapshot) in enumerate(result.snapshots):
-        write_text(f"snapshot_{i:04d}.csv", write_field_csv(snapshot, grid))
+        name = f"snapshot_{i:04d}.csv"
+        if snapshot is result.final_field:
+            written.append(shutil.copyfile(out / "final_field.csv", out / name))
+        else:
+            write_csv(name, write_field_csv, snapshot, grid)
     if len(result.signal_times):
-        write_text("signals.csv", write_signals_csv(result))
+        write_csv("signals.csv", write_signals_csv, result)
     if render:
         path = out / "heatmap.pgm"
         path.write_bytes(render_heatmap(result.final_field, grid))

@@ -112,10 +112,12 @@ class SimulationConfig:
 class SimulationResult:
     """Final field, snapshots and the logged input/output signals.
 
-    `signal_times` rows align with `inputs` and `outputs`.  On divergence
-    the logs are partial, `final_field` holds the offending field and
-    `divergence_step`/`divergence_cell` locate its worst entry: a non-finite
-    one, else the one farthest outside [0, theta_cap].
+    `signal_times` rows align with `inputs` and `outputs`.  On a run that
+    does not diverge, the closing snapshot's field is `final_field` itself,
+    the same array and not a copy.  On divergence the logs are partial,
+    there is no closing snapshot, `final_field` holds the offending field
+    and `divergence_step`/`divergence_cell` locate its worst entry: a
+    non-finite one, else the one farthest outside [0, theta_cap].
     """
 
     config: SimulationConfig
@@ -146,18 +148,24 @@ def initial_field(grid: Grid, ic: InitialCondition) -> np.ndarray:
 
 
 def build_banks(cfg: SimulationConfig) -> tuple[ActuatorBank, SensorBank]:
-    """Construct both device banks from their specs on the config's grid."""
+    """Construct both device banks from their specs on the config's grid.
+
+    A bank that does not fit the grid raises ValueError under its spec's
+    path, e.g. "actuators.count: actuator 1 of 5 covers no cell center ...".
+    """
     length = cfg.grid.geometry.length
 
-    def devices(spec):
+    def bank(cls, section):
+        spec = getattr(cfg, section)
         parts = uniform_partitions(length, spec.count)
         chars = [Characterization(spec.m, spec.M, spec.nu, p.midpoint)
                  for p in parts]
-        return parts, chars
+        try:
+            return cls.build(cfg.grid, parts, chars)
+        except ValueError as exc:
+            raise ValueError(f"{section}.{exc}") from exc
 
-    actuators = ActuatorBank.build(cfg.grid, *devices(cfg.actuators))
-    sensors = SensorBank.build(cfg.grid, *devices(cfg.sensors))
-    return actuators, sensors
+    return bank(ActuatorBank, "actuators"), bank(SensorBank, "sensors")
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationResult:
@@ -185,20 +193,20 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     theta = initial_field(grid, cfg.initial)
     n_steps = cfg.n_steps()
 
-    times, inputs, outputs = [], [], []
+    # Logged steps: every signal_stride-th one plus the closing sample.
+    logged_steps = np.append(np.arange(0, n_steps, cfg.signal_stride), n_steps)
+    inputs = np.empty((len(logged_steps), actuators.count))
+    outputs = np.empty((len(logged_steps), sensors.count))
+    logged = 0
     snapshots: list[tuple[float, np.ndarray]] = []
-
-    def log_signals(step, y, u):
-        times.append(step * cfg.dt)
-        outputs.append(y)
-        inputs.append(u)
 
     divergence_step = divergence_cell = None
     for step in range(n_steps):
         y = sensors.measure(theta, grid)
         u = proportional_law(cfg.controller, control_error(cfg.controller, y))
         if step % cfg.signal_stride == 0:
-            log_signals(step, y, u)
+            inputs[logged], outputs[logged] = u, y
+            logged += 1
         if step % cfg.snapshot_stride == 0:
             snapshots.append((step * cfg.dt, theta.copy()))
 
@@ -217,16 +225,17 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         # command from the final field.
         y = sensors.measure(theta, grid)
         u = proportional_law(cfg.controller, control_error(cfg.controller, y))
-        log_signals(n_steps, y, u)
-        snapshots.append((n_steps * cfg.dt, theta.copy()))
+        inputs[logged], outputs[logged] = u, y
+        logged += 1
+        snapshots.append((n_steps * cfg.dt, theta))
 
     return SimulationResult(
         config=cfg,
         final_field=theta,
         snapshots=snapshots,
-        signal_times=np.array(times),
-        inputs=np.array(inputs),
-        outputs=np.array(outputs),
+        signal_times=logged_steps[:logged] * cfg.dt,
+        inputs=inputs[:logged],
+        outputs=outputs[:logged],
         diverged=divergence_step is not None,
         divergence_step=divergence_step,
         divergence_cell=divergence_cell,

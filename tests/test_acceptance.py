@@ -7,6 +7,7 @@ reference runs of this configuration.
 """
 
 import dataclasses
+import io
 from contextlib import contextmanager
 
 import numpy as np
@@ -193,8 +194,9 @@ def test_determinism_and_io(preset1, scenario1_result, tmp_path):
 
         # the field table round-trips bit-exactly
         grid = preset1.grid
-        text = write_field_csv(scenario1_result.final_field, grid)
-        assert (read_field_csv(text) == scenario1_result.final_field).all()
+        text = io.StringIO()
+        write_field_csv(scenario1_result.final_field, grid, text)
+        assert (read_field_csv(text.getvalue()) == scenario1_result.final_field).all()
         on_disk = read_field_csv((dirs[0] / "final_field.csv").read_text())
         assert (on_disk == scenario1_result.final_field).all()
 

@@ -105,7 +105,9 @@ def test_out_of_range_override_exits_2(tmp_path, capsys):
     assert "config error" in err and "grid.J" in err
     for flags, path in ((["--t-final", "-1"], "time.t_final"),
                         (["--dt", "0"], "time.dt"),
-                        (["--dt", "inf"], "time.dt")):
+                        (["--dt", "inf"], "time.dt"),
+                        (["--grid", "3x40"], "actuators.count: actuator 1 of 5 "
+                                             "covers no cell center on J = 3")):
         assert main(["run", "--scenario", "1", *flags,
                      "--out", str(tmp_path / "z")]) == 2
         assert path in capsys.readouterr().err
@@ -117,6 +119,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     path.write_text('{"grid": {"J": 1}}')
     assert main(["check", "--config", str(path)]) == 2
     assert "grid.J" in capsys.readouterr().err
+    # a bank that does not fit is caught by check, not only by run
+    path.write_text('{"sensors": {"m": 0}}')
+    assert main(["check", "--config", str(path)]) == 2
+    assert "sensors.m: sensor 0 has zero quadrature mass" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heatplate import (ConfigError, dump_config, load_config, parse_config,
                        scenario_preset)
@@ -70,6 +72,9 @@ class TestValidation:
         ('{"controller": {"u_min": 10, "u_max": 5}}', r"controller\.u_min"),
         ('{"time": {"t_final": -1}}', r"time\.t_final"),
         ('{"time": {"signal_stride": 0}}', r"time\.signal_stride"),
+        ('{"material": {"theta_cap": 0}}', r"material\.theta_cap"),
+        ('{"sensors": {"m": 0}}', r"sensors\.m: sensor 0 has zero quadrature mass"),
+        ('{"grid": {"J": 3}}', r"actuators\.count: actuator 1 .*J = 3"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with pytest.raises(ConfigError, match=path):
@@ -145,3 +150,56 @@ class TestRoundTrip:
 
     def test_parse_config_accepts_document_dict(self, preset1):
         assert parse_config({}) == preset1
+
+    def test_theta_cap_is_settable(self):
+        cfg = load_config('{"material": {"theta_cap": 1500}}')
+        assert cfg.material.theta_cap == 1500.0
+        # lambda(T) = 10 - 0.004 T stays positive up to 2500 K only
+        with pytest.raises(ConfigError, match=r"material\.lambda1"):
+            load_config('{"material": {"lambda1": -0.004}}')
+        load_config('{"material": {"lambda1": -0.004, "theta_cap": 2000}}')
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_valid_documents_survive_dump_and_load(self, data):
+        def number(lo, hi):
+            return data.draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+        def integer(lo, hi):
+            return data.draw(st.integers(lo, hi))
+
+        def device():
+            return {"m": number(0.05, 1.0), "M": number(0.0, 50.0),
+                    "nu": number(0.5, 8.0)}
+
+        count = integer(1, 4)
+        dt = number(1e-5, 1e-2)
+        kp = data.draw(st.one_of(
+            st.floats(0.0, 1e5), st.lists(st.floats(0.0, 1e5), min_size=count,
+                                          max_size=count)))
+        document = {
+            "geometry": {"L": number(0.01, 2.0), "H": number(1e-3, 0.1)},
+            "grid": {"J": integer(8, 60), "K": integer(2, 20)},
+            "material": {"rho": number(1.0, 2e4), "c0": number(1.0, 1e3),
+                         "c1": number(-0.1, 1.0), "lambda0": number(0.1, 400.0),
+                         "lambda1": number(-0.01, 0.5),
+                         "theta_cap": number(400.0, 5000.0)},
+            "exchange": {"h": number(0.0, 100.0), "emissivity": number(0.0, 1.0),
+                         "sigma": number(1e-9, 1e-7), "theta_amb": number(0.0, 600.0)},
+            "actuators": {"count": count, **device()},
+            "sensors": {"count": count, **device()},
+            "controller": {"kp": kp, "y_ref": number(0.0, 1000.0),
+                           "u_min": number(0.0, 10.0),
+                           "u_max": data.draw(st.one_of(st.none(),
+                                                        st.floats(10.0, 1e7)))},
+            "initial": {"base": number(10.0, 600.0), "a0": number(-10.0, 10.0),
+                        "a1": number(0.0, 20.0), "a2": number(0.0, 20.0)},
+            "time": {"dt": dt, "t_final": integer(1, 1000) * dt,
+                     "snapshot_stride": integer(1, 100),
+                     "signal_stride": integer(1, 100)},
+        }
+        try:
+            cfg = parse_config(document)
+        except ConfigError:
+            assume(False)
+        assert load_config(dump_config(cfg)) == cfg

@@ -1,11 +1,30 @@
+import dataclasses
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heatplate import (Grid, PlateGeometry, averaged_signals, read_field_csv,
-                       render_heatmap, run_simulation, write_field_csv,
-                       write_run_outputs, write_signals_csv)
+from heatplate import (Grid, InitialCondition, PlateGeometry, averaged_signals,
+                       output, read_field_csv, render_heatmap, run_simulation,
+                       scenario_preset, write_field_csv, write_run_outputs,
+                       write_signals_csv)
 
 from test_simulation import short_config
+
+
+def field_text(field_values, grid):
+    """What write_field_csv streams, collected in memory."""
+    buffer = io.StringIO()
+    write_field_csv(field_values, grid, buffer)
+    return buffer.getvalue()
+
+
+def signals_text(result):
+    """What write_signals_csv streams, collected in memory."""
+    buffer = io.StringIO()
+    write_signals_csv(result, buffer)
+    return buffer.getvalue()
 
 
 def per_cell_field_csv(field_values, grid):
@@ -37,14 +56,14 @@ class TestByteIdenticalWriters:
     def test_random_field(self):
         g = Grid(PlateGeometry(0.3, 0.01), J=37, K=11)
         field = np.random.default_rng(4).uniform(0.0, 3000.0, g.n_cells)
-        assert write_field_csv(field, g) == per_cell_field_csv(field, g)
+        assert field_text(field, g) == per_cell_field_csv(field, g)
 
     def test_short_run(self):
         result = run_simulation(short_config(t_final=0.03, snapshot_stride=10))
         grid = result.config.grid
         for _, snapshot in result.snapshots:
-            assert write_field_csv(snapshot, grid) == per_cell_field_csv(snapshot, grid)
-        assert write_signals_csv(result) == per_cell_signals_csv(result)
+            assert field_text(snapshot, grid) == per_cell_field_csv(snapshot, grid)
+        assert signals_text(result) == per_cell_signals_csv(result)
 
 
 @pytest.fixture
@@ -54,7 +73,7 @@ def unit_grid():
 
 class TestFieldCsv:
     def test_small_uniform_field(self, unit_grid):
-        text = write_field_csv(np.full(4, 300.0), unit_grid)
+        text = field_text(np.full(4, 300.0), unit_grid)
         lines = text.strip().split("\n")
         assert lines[0] == "x1,x2,theta"
         assert len(lines) == 5
@@ -64,19 +83,19 @@ class TestFieldCsv:
         assert all(line.endswith(",300.0") for line in lines[1:])
 
     def test_row_count_matches_cells(self, grid):
-        text = write_field_csv(np.full(grid.n_cells, 300.0), grid)
+        text = field_text(np.full(grid.n_cells, 300.0), grid)
         assert len(text.strip().split("\n")) == grid.n_cells + 1
 
     def test_flat_index_order(self, unit_grid):
         field = np.array([1.0, 2.0, 3.0, 4.0])
         thetas = [line.split(",")[2]
-                  for line in write_field_csv(field, unit_grid).strip().split("\n")[1:]]
+                  for line in field_text(field, unit_grid).strip().split("\n")[1:]]
         assert thetas == ["1.0", "2.0", "3.0", "4.0"]
 
     def test_round_trip_is_bit_exact(self, grid):
         rng = np.random.default_rng(2)
         field = rng.uniform(250.0, 500.0, grid.n_cells)
-        recovered = read_field_csv(write_field_csv(field, grid))
+        recovered = read_field_csv(field_text(field, grid))
         assert (recovered == field).all()
 
 
@@ -86,7 +105,7 @@ class TestSignalsCsv:
         result.signal_times = np.array([0.0])
         result.inputs = np.ones((1, 5))
         result.outputs = np.full((1, 5), 400.0)
-        lines = write_signals_csv(result).strip().split("\n")
+        lines = signals_text(result).strip().split("\n")
         assert lines[0] == "t,u_0,u_1,u_2,u_3,u_4,y_0,y_1,y_2,y_3,y_4,u_avg,y_avg"
         assert len(lines) == 2
         cells = lines[1].split(",")
@@ -95,13 +114,13 @@ class TestSignalsCsv:
 
     def test_row_per_logged_step(self):
         result = run_simulation(short_config(t_final=0.05, signal_stride=10))
-        lines = write_signals_csv(result).strip().split("\n")
+        lines = signals_text(result).strip().split("\n")
         # steps 0, 10, 20, 30, 40 plus the closing sample
         assert len(lines) == 1 + 6
 
     def test_averages_match_channel_means(self):
         result = run_simulation(short_config(t_final=0.01))
-        lines = write_signals_csv(result).strip().split("\n")
+        lines = signals_text(result).strip().split("\n")
         for i, line in enumerate(lines[1:]):
             cells = [float(v) for v in line.split(",")]
             assert cells[11] == pytest.approx(result.inputs[i].mean(), rel=1e-12)
@@ -180,3 +199,81 @@ class TestRunOutputs:
         # the last snapshot equals the final field
         last = read_field_csv((tmp_path / "snapshot_0003.csv").read_text())
         assert (last == result.final_field).all()
+
+    def test_closing_snapshot_is_copied_not_formatted(self, tmp_path, monkeypatch):
+        result = run_simulation(short_config(t_final=0.05, snapshot_stride=20))
+        assert result.snapshots[-1][1] is result.final_field
+        calls = []
+        original = output.write_field_csv
+
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(output, "write_field_csv", counting)
+        write_run_outputs(result, tmp_path)
+        # final field plus the snapshots, less the closing one
+        assert len(calls) == len(result.snapshots)
+        grid = result.config.grid
+        final = (tmp_path / "final_field.csv").read_bytes()
+        assert final == per_cell_field_csv(result.final_field, grid).encode()
+        assert (tmp_path / "snapshot_0003.csv").read_bytes() == final
+
+
+def capped_run(**overrides):
+    """A short run whose heaters push the underside past a low theta_cap."""
+    return run_simulation(short_config(
+        material=dataclasses.replace(scenario_preset(1).material, theta_cap=300.5),
+        initial=InitialCondition(base=300.0, a0=0.0), **overrides))
+
+
+class TestStreamedFiles:
+    @pytest.mark.parametrize("make_result", [
+        lambda: run_simulation(short_config(t_final=0.05, snapshot_stride=20)),
+        lambda: run_simulation(short_config(t_final=0.01, signal_stride=3,
+                                            snapshot_stride=4)),
+        lambda: capped_run(signal_stride=3, snapshot_stride=2),
+    ], ids=["whole-run", "stride-3-of-10", "diverged"])
+    def test_files_equal_writer_and_reference_text(self, tmp_path, make_result):
+        result = make_result()
+        grid = result.config.grid
+        write_run_outputs(result, tmp_path)
+        fields = [("final_field.csv", result.final_field)]
+        fields += [(f"snapshot_{i:04d}.csv", snapshot)
+                   for i, (_, snapshot) in enumerate(result.snapshots)]
+        for name, field in fields:
+            on_disk = (tmp_path / name).read_bytes()
+            assert on_disk == field_text(field, grid).encode()
+            assert on_disk == per_cell_field_csv(field, grid).encode()
+        on_disk = (tmp_path / "signals.csv").read_bytes()
+        assert on_disk == signals_text(result).encode()
+        assert on_disk == per_cell_signals_csv(result).encode()
+
+    def test_stride_that_does_not_divide_the_steps(self):
+        result = run_simulation(short_config(t_final=0.01, signal_stride=3))
+        dt = result.config.dt
+        # steps 0, 3, 6, 9 plus the closing sample at step 10
+        assert result.signal_times.tolist() == [s * dt for s in (0, 3, 6, 9, 10)]
+        assert result.inputs.shape == result.outputs.shape == (5, 5)
+
+    def test_diverged_logs_hold_only_logged_rows(self):
+        result = capped_run(signal_stride=3)
+        assert result.diverged
+        rows = len(range(0, result.divergence_step + 1, 3))
+        assert len(result.signal_times) == rows
+        assert result.inputs.shape == result.outputs.shape == (rows, 5)
+        assert np.isfinite(result.inputs).all() and np.isfinite(result.outputs).all()
+
+    def test_writing_memory_does_not_grow_with_file_size(self, tmp_path):
+        cfg = short_config(grid=Grid(PlateGeometry(0.30, 0.01), J=400, K=160),
+                           dt=1e-4, t_final=1e-4)
+        result = run_simulation(cfg)
+        tracemalloc.start()
+        try:
+            write_run_outputs(result, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "final_field.csv").stat().st_size
+        assert size > 2_000_000
+        assert peak < size / 4
