@@ -4,15 +4,15 @@ weighted topside sensors and closed-loop proportional control."""
 from .config import ConfigError, dump_config, load_config, parse_config
 from .control import ControllerConfig, control_error, proportional_law
 from .devices import (ActuatorBank, BoundaryPartition, Characterization,
-                      SensorBank, uniform_partitions)
+                      DeviceSpec, SensorBank)
 from .grid import Grid, PlateGeometry, stability_limit
 from .material import STEFAN_BOLTZMANN, SurfaceExchange, ThermalMaterial
 from .output import (read_field_csv, render_heatmap, write_field_csv,
                      write_run_outputs, write_signals_csv)
-from .simulation import (DeviceSpec, InitialCondition, SimulationConfig,
-                         SimulationResult, TopsideStatistics, averaged_signals,
-                         build_banks, initial_field, run_simulation,
-                         scenario_preset, topside_statistics)
+from .simulation import (InitialCondition, SimulationConfig, SimulationResult,
+                         TopsideStatistics, averaged_signals, build_banks,
+                         initial_field, run_simulation, scenario_preset,
+                         topside_statistics)
 from .solver import (BoundaryFluxes, assemble_rhs, boundary_fluxes,
                      step_forward_euler, weighted_rhs_sum, worst_invalid_cell)
 
@@ -27,7 +27,6 @@ __all__ = [
     "control_error", "dump_config", "initial_field", "load_config",
     "parse_config", "proportional_law", "read_field_csv", "render_heatmap",
     "run_simulation", "scenario_preset", "stability_limit", "step_forward_euler",
-    "topside_statistics", "uniform_partitions", "weighted_rhs_sum",
-    "worst_invalid_cell", "write_field_csv", "write_run_outputs",
-    "write_signals_csv",
+    "topside_statistics", "weighted_rhs_sum", "worst_invalid_cell",
+    "write_field_csv", "write_run_outputs", "write_signals_csv",
 ]

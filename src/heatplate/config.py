@@ -13,10 +13,10 @@ import json
 import math
 
 from .control import ControllerConfig
+from .devices import DeviceSpec
 from .grid import Grid, PlateGeometry
 from .material import SurfaceExchange, ThermalMaterial
-from .simulation import (DeviceSpec, InitialCondition, SimulationConfig,
-                         build_banks, scenario_preset)
+from .simulation import InitialCondition, SimulationConfig, scenario_preset
 
 
 class ConfigError(ValueError):
@@ -199,9 +199,9 @@ def parse_config(document: dict) -> SimulationConfig:
         signal_stride=_number(doc, "time.signal_stride", integer=True),
     )
     # Banks that do not fit the grid fail here, under their spec's path, so
-    # `check` rejects what `run` would.
+    # `check` rejects what `run` would; the run reuses the cached banks.
     try:
-        build_banks(cfg)
+        cfg.banks
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

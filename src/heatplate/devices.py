@@ -1,11 +1,12 @@
 """Boundary actuators and sensors with spatially characterized weights.
 
-Heaters act on the underside, sensors read the topside.  Each device owns a
-half-open interval [lo, hi) of the boundary coordinate and a bump-shaped
-weight profile m * exp(-|M*(x - center)|^nu) that vanishes outside its
-interval.  With m = 1 and M = 0 the profile degenerates to the indicator
-function of the interval.  Weights are evaluated once at cell centers and
-cached; a device bank is immutable afterwards.
+Heaters act on the underside, sensors read the topside.  A bank is built
+from a DeviceSpec: its `count` devices split the boundary (0, L) into equal
+half-open intervals [lo, hi), and each carries the bump-shaped weight
+profile m * exp(-|M*(x - c)|^nu), centered on its interval's midpoint c and
+zero outside the interval.  With m = 1 and M = 0 the profile degenerates to
+the indicator function of the interval.  Weights are evaluated once at cell
+centers and cached; a device bank is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class BoundaryPartition:
 
     lo: float
     hi: float
-
-    def __post_init__(self):
-        if not 0 <= self.lo < self.hi:
-            raise ValueError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi})")
 
     @property
     def midpoint(self) -> float:
@@ -72,40 +69,36 @@ class Characterization:
         return np.where(partition.contains(x), bump, 0.0)
 
 
-def uniform_partitions(length: float, count: int) -> list[BoundaryPartition]:
-    """Split (0, length) into `count` equal half-open intervals."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    edges = np.linspace(0.0, length, count + 1)
-    return [BoundaryPartition(edges[n], edges[n + 1]) for n in range(count)]
+@dataclass(frozen=True)
+class DeviceSpec:
+    """Count plus shared profile parameters for one device bank.
+
+    Devices split the boundary into equal intervals, each profile centered
+    on its interval midpoint.
+    """
+
+    count: int
+    m: float = 1.0
+    M: float = 0.0
+    nu: float = 4.0
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"count: must be >= 1, got {self.count}")
+        Characterization(self.m, self.M, self.nu, 0.0)  # checks m, M and nu
 
 
-def _check_layout(partitions, length):
-    """Partitions must tile (0, length): pairwise disjoint, no gaps."""
-    order = sorted(range(len(partitions)), key=lambda n: partitions[n].lo)
-    tol = 1e-9 * length
-    prev_hi = 0.0
-    for n in order:
-        p = partitions[n]
-        if p.lo < prev_hi - tol:
-            raise ValueError(f"partitions overlap near x = {p.lo}")
-        if p.lo > prev_hi + tol:
-            raise ValueError(f"partitions leave a gap near x = {prev_hi}")
-        prev_hi = p.hi
-    if abs(prev_hi - length) > tol:
-        raise ValueError(f"partitions do not cover (0, {length})")
-
-
-def _weight_table(grid, partitions, characterizations, kind):
-    if len(partitions) != len(characterizations):
-        raise ValueError("need one characterization per partition")
-    _check_layout(partitions, grid.geometry.length)
+def _weight_table(grid: Grid, spec: DeviceSpec, kind: str) -> np.ndarray:
+    """(count, J) profile values of the spec's devices at the cell centers."""
+    edges = np.linspace(0.0, grid.geometry.length, spec.count + 1)
     x = grid.x1_centers()
-    table = np.empty((len(partitions), grid.J))
-    for n, (part, char) in enumerate(zip(partitions, characterizations)):
+    table = np.empty((spec.count, grid.J))
+    for n in range(spec.count):
+        part = BoundaryPartition(edges[n], edges[n + 1])
+        char = Characterization(spec.m, spec.M, spec.nu, part.midpoint)
         table[n] = char.value(part, x)
         if not part.contains(x).any():
-            raise ValueError(f"count: {kind} {n} of {len(partitions)} covers no "
+            raise ValueError(f"count: {kind} {n} of {spec.count} covers no "
                              f"cell center on J = {grid.J} columns")
     return table
 
@@ -114,18 +107,15 @@ def _weight_table(grid, partitions, characterizations, kind):
 class ActuatorBank:
     """Heating elements on the underside with precomputed per-cell weights."""
 
-    partitions: tuple[BoundaryPartition, ...]
-    characterizations: tuple[Characterization, ...]
     weight_table: np.ndarray = field(repr=False)  # (count, J)
 
     @classmethod
-    def build(cls, grid: Grid, partitions, characterizations) -> "ActuatorBank":
-        table = _weight_table(grid, partitions, characterizations, "actuator")
-        return cls(tuple(partitions), tuple(characterizations), table)
+    def build(cls, grid: Grid, spec: DeviceSpec) -> "ActuatorBank":
+        return cls(_weight_table(grid, spec, "actuator"))
 
     @property
     def count(self) -> int:
-        return len(self.partitions)
+        return len(self.weight_table)
 
     def induced_flux(self, u) -> np.ndarray:
         """Heat flux onto each underside cell for input powers u, W/m^2.
@@ -143,23 +133,21 @@ class ActuatorBank:
 class SensorBank:
     """Topside sensors: weighted averages of the topside temperature row."""
 
-    partitions: tuple[BoundaryPartition, ...]
-    characterizations: tuple[Characterization, ...]
     weight_table: np.ndarray = field(repr=False)  # (count, J)
     mass: np.ndarray = field(repr=False)          # (count,) = sum_j g*dx1
 
     @classmethod
-    def build(cls, grid: Grid, partitions, characterizations) -> "SensorBank":
-        table = _weight_table(grid, partitions, characterizations, "sensor")
+    def build(cls, grid: Grid, spec: DeviceSpec) -> "SensorBank":
+        table = _weight_table(grid, spec, "sensor")
         mass = table.sum(axis=1) * grid.dx1  # midpoint quadrature of int g dx
         if not (mass > 0).all():
             bad = int(np.argmin(mass))
             raise ValueError(f"m: sensor {bad} has zero quadrature mass")
-        return cls(tuple(partitions), tuple(characterizations), table, mass)
+        return cls(table, mass)
 
     @property
     def count(self) -> int:
-        return len(self.partitions)
+        return len(self.weight_table)
 
     def measure(self, field_values, grid: Grid) -> np.ndarray:
         """Sensor outputs y for a temperature field, Kelvin.

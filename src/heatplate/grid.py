@@ -66,12 +66,8 @@ class Grid:
         """x2 coordinates of all row centers, length K."""
         return (np.arange(self.K) + 0.5) * self.dx2
 
-    def flat_index(self, j: int, k: int) -> int:
-        """Flat storage offset k*J + j of cell (j, k)."""
-        return k * self.J + j
-
     def cell_from_flat(self, offset: int) -> tuple[int, int]:
-        """Inverse of flat_index: (j, k) for a flat offset."""
+        """Cell (j, k) at the flat storage offset k*J + j."""
         k, j = divmod(offset, self.J)
         return j, k
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .control import ControllerConfig, control_error, proportional_law
-from .devices import ActuatorBank, Characterization, SensorBank, uniform_partitions
+from .devices import ActuatorBank, DeviceSpec, SensorBank
 from .grid import Grid, PlateGeometry, stability_limit
 from .material import SurfaceExchange, ThermalMaterial
 from .solver import (assemble_rhs, boundary_fluxes, step_forward_euler,
@@ -40,25 +41,6 @@ class InitialCondition:
             raise ValueError(f"base: must be >= 0, got {self.base}")
         if self.base - abs(self.a0) < 0:
             raise ValueError("a0: |a0| must be <= base to keep the field non-negative")
-
-
-@dataclass(frozen=True)
-class DeviceSpec:
-    """Count plus shared profile parameters for one device bank.
-
-    Devices split the boundary into equal intervals, each profile centered
-    on its interval midpoint.
-    """
-
-    count: int
-    m: float = 1.0
-    M: float = 0.0
-    nu: float = 4.0
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"count: must be >= 1, got {self.count}")
-        Characterization(self.m, self.M, self.nu, 0.0)  # checks m, M and nu
 
 
 @dataclass(frozen=True)
@@ -107,6 +89,11 @@ class SimulationConfig:
         """Number of Euler steps; t_final is a whole multiple of dt."""
         return round(self.t_final / self.dt)
 
+    @cached_property
+    def banks(self) -> tuple[ActuatorBank, SensorBank]:
+        """Both device banks, built by build_banks on first use."""
+        return build_banks(self)
+
 
 @dataclass(eq=False)
 class SimulationResult:
@@ -153,15 +140,9 @@ def build_banks(cfg: SimulationConfig) -> tuple[ActuatorBank, SensorBank]:
     A bank that does not fit the grid raises ValueError under its spec's
     path, e.g. "actuators.count: actuator 1 of 5 covers no cell center ...".
     """
-    length = cfg.grid.geometry.length
-
     def bank(cls, section):
-        spec = getattr(cfg, section)
-        parts = uniform_partitions(length, spec.count)
-        chars = [Characterization(spec.m, spec.M, spec.nu, p.midpoint)
-                 for p in parts]
         try:
-            return cls.build(cfg.grid, parts, chars)
+            return cls.build(cfg.grid, getattr(cfg, section))
         except ValueError as exc:
             raise ValueError(f"{section}.{exc}") from exc
 
@@ -179,7 +160,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     and returns a result flagged as diverged with the logs collected so far.
     """
     grid, material, exchange = cfg.grid, cfg.material, cfg.exchange
-    actuators, sensors = build_banks(cfg)
+    actuators, sensors = cfg.banks
 
     limit = stability_limit(grid, material, cfg.initial.base)
     if cfg.dt > limit:

@@ -44,8 +44,10 @@ def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
     T = np.asarray(field_values).reshape(grid.K, grid.J)
     phi_in = actuators.induced_flux(u)
     edges = np.concatenate((T[:, 0], T[:, -1], T[-1, :]))
-    left, right, top = np.split(exchange.emitted_flux(edges), (grid.K, 2 * grid.K))
-    return BoundaryFluxes(underside=phi_in, left=left, right=right, top=top)
+    emitted = exchange.emitted_flux(edges)
+    K = grid.K
+    return BoundaryFluxes(underside=phi_in, left=emitted[:K],
+                          right=emitted[K:2 * K], top=emitted[2 * K:])
 
 
 def assemble_rhs(field_values, grid: Grid, material: ThermalMaterial,

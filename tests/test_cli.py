@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,17 @@ def test_package_exports_resolve():
     # heatbench/setup_probe.py times these set-up calls as hp.<name>
     for name in ("load_config", "build_banks", "initial_field", "stability_limit"):
         assert name in heatplate.__all__
+
+
+def test_benchmark_tracer_imports():
+    # heatbench/spans.py reads the device classes it wraps (BoundaryPartition,
+    # Characterization, SensorBank, ActuatorBank) when it is imported, so
+    # deleting one breaks the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "heatbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("heatbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.TARGETS
 
 
 def test_check_scenario(capsys):

@@ -2,30 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatplate import (ActuatorBank, BoundaryPartition, Characterization,
-                       Grid, PlateGeometry, SensorBank, uniform_partitions)
+                       DeviceSpec, Grid, PlateGeometry, SensorBank)
 
 
-def bank_devices(length, count, m, M, nu):
-    parts = uniform_partitions(length, count)
-    chars = [Characterization(m, M, nu, p.midpoint) for p in parts]
-    return parts, chars
+def partitions(length, count):
+    """The equal intervals that a bank of `count` devices occupies."""
+    edges = np.linspace(0.0, length, count + 1)
+    return [BoundaryPartition(edges[n], edges[n + 1]) for n in range(count)]
 
 
 @pytest.fixture
 def nominal_bank(grid):
-    return ActuatorBank.build(grid, *bank_devices(0.30, 5, 1.0, 0.0, 4.0))
+    return ActuatorBank.build(grid, DeviceSpec(5, m=1.0, M=0.0, nu=4.0))
 
 
 @pytest.fixture
 def realistic_bank(grid):
-    return ActuatorBank.build(grid, *bank_devices(0.30, 5, 1.0, 30.0, 4.0))
+    return ActuatorBank.build(grid, DeviceSpec(5, m=1.0, M=30.0, nu=4.0))
 
 
 @pytest.fixture
 def sensor_bank(grid):
-    return SensorBank.build(grid, *bank_devices(0.30, 5, 1.0, 10.0, 4.0))
+    return SensorBank.build(grid, DeviceSpec(5, m=1.0, M=10.0, nu=4.0))
 
 
 class TestCharacterization:
@@ -70,30 +72,6 @@ class TestCharacterization:
             Characterization(**kwargs)
 
 
-class TestUniformPartitions:
-    def test_five_over_plate_length(self):
-        parts = uniform_partitions(0.3, 5)
-        los = [p.lo for p in parts]
-        his = [p.hi for p in parts]
-        assert los == pytest.approx([0.0, 0.06, 0.12, 0.18, 0.24], abs=1e-15)
-        assert his == pytest.approx([0.06, 0.12, 0.18, 0.24, 0.30], abs=1e-15)
-        assert [p.midpoint for p in parts] == pytest.approx(
-            [0.03, 0.09, 0.15, 0.21, 0.27], abs=1e-15)
-
-    def test_single_partition(self):
-        (p,) = uniform_partitions(1.0, 1)
-        assert (p.lo, p.hi) == (0.0, 1.0)
-        assert p.midpoint == 0.5
-
-    def test_equal_widths(self):
-        parts = uniform_partitions(0.3, 3)
-        assert [p.hi - p.lo for p in parts] == pytest.approx([0.1] * 3, rel=1e-12)
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValueError):
-            uniform_partitions(0.3, 0)
-
-
 class TestActuatorBank:
     def test_nominal_weights_are_all_one(self, nominal_bank):
         assert nominal_bank.weight_table.shape == (5, 100)
@@ -102,18 +80,16 @@ class TestActuatorBank:
 
     def test_indicator_rows_match_partition_membership(self, nominal_bank, grid):
         x = grid.x1_centers()
-        for part, row in zip(nominal_bank.partitions, nominal_bank.weight_table):
+        for part, row in zip(partitions(0.30, 5), nominal_bank.weight_table):
             assert (row == part.contains(x).astype(float)).all()
 
     def test_realistic_weights_peak_at_center(self, realistic_bank, grid):
         x = grid.x1_centers()
-        for n, (part, char) in enumerate(zip(realistic_bank.partitions,
-                                             realistic_bank.characterizations)):
-            row = realistic_bank.weight_table[n]
+        for part, row in zip(partitions(0.30, 5), realistic_bank.weight_table):
             inside = part.contains(x)
             assert (row[~inside] == 0.0).all()
             # weights fall monotonically from the center toward the edges
-            dist = np.abs(x[inside] - char.center)
+            dist = np.abs(x[inside] - part.midpoint)
             order = np.argsort(dist)
             assert (np.diff(row[inside][order]) <= 1e-15).all()
             assert row.max() > 0.999
@@ -124,31 +100,36 @@ class TestActuatorBank:
 
     def test_one_cell_per_partition(self):
         g = Grid(PlateGeometry(0.30, 0.01), J=5, K=2)
-        bank = ActuatorBank.build(g, *bank_devices(0.30, 5, 1.0, 0.0, 4.0))
+        bank = ActuatorBank.build(g, DeviceSpec(5, m=1.0, M=0.0, nu=4.0))
         assert (bank.weight_table == np.eye(5)).all()
 
     def test_disjoint_support(self, realistic_bank):
         nonzero_per_cell = (realistic_bank.weight_table > 0).sum(axis=0)
         assert (nonzero_per_cell <= 1).all()
 
-    def test_rejects_overlapping_partitions(self, grid):
-        parts = [BoundaryPartition(0.0, 0.2), BoundaryPartition(0.1, 0.3)]
-        chars = [Characterization(1.0, 0.0, 4.0, p.midpoint) for p in parts]
-        with pytest.raises(ValueError, match="overlap"):
-            ActuatorBank.build(grid, parts, chars)
-
-    def test_rejects_gap(self, grid):
-        parts = [BoundaryPartition(0.0, 0.1), BoundaryPartition(0.2, 0.3)]
-        chars = [Characterization(1.0, 0.0, 4.0, p.midpoint) for p in parts]
-        with pytest.raises(ValueError, match="gap"):
-            ActuatorBank.build(grid, parts, chars)
-
     def test_rejects_partition_without_cell_center(self):
         g = Grid(PlateGeometry(0.30, 0.01), J=5, K=2)  # centers every 0.06
-        parts = uniform_partitions(0.30, 10)           # width 0.03
-        chars = [Characterization(1.0, 0.0, 4.0, p.midpoint) for p in parts]
+        spec = DeviceSpec(10, m=1.0, M=0.0, nu=4.0)    # width 0.03
         with pytest.raises(ValueError, match="no cell center"):
-            ActuatorBank.build(g, parts, chars)
+            ActuatorBank.build(g, spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(J=st.integers(2, 300), count=st.integers(1, 60),
+           length=st.floats(1e-300, 1e300))
+    def test_equal_intervals_tile_the_columns(self, J, count, length):
+        # Every cell center lies in exactly one half-open interval, so a
+        # flat bank's columns each sum to one; with count <= J every
+        # interval is at least a cell wide and holds a center, and with
+        # count > J some interval must hold none.
+        g = Grid(PlateGeometry(length, 0.01), J=J, K=2)
+        spec = DeviceSpec(count, m=1.0, M=0.0, nu=4.0)
+        if count > J:
+            with pytest.raises(ValueError, match="covers no cell center"):
+                ActuatorBank.build(g, spec)
+            return
+        table = ActuatorBank.build(g, spec).weight_table
+        assert (table.sum(axis=0) == 1.0).all()
+        assert (table != 0.0).any(axis=1).all()
 
 
 class TestInducedFlux:
@@ -187,18 +168,16 @@ class TestSensorBank:
         assert (sensor_bank.weight_table.max(axis=1) > 0.999).all()
 
     def test_indicator_mass_is_partition_width(self, grid):
-        bank = SensorBank.build(grid, *bank_devices(0.30, 5, 1.0, 0.0, 4.0))
+        bank = SensorBank.build(grid, DeviceSpec(5, m=1.0, M=0.0, nu=4.0))
         assert bank.mass == pytest.approx(np.full(5, 0.06), rel=1e-12)
 
     def test_single_sensor_mass_is_plate_length(self, grid):
-        bank = SensorBank.build(grid, *bank_devices(0.30, 1, 1.0, 0.0, 4.0))
+        bank = SensorBank.build(grid, DeviceSpec(1, m=1.0, M=0.0, nu=4.0))
         assert bank.mass == pytest.approx([0.30], rel=1e-12)
 
     def test_rejects_zero_mass(self, grid):
-        parts = uniform_partitions(0.30, 5)
-        chars = [Characterization(0.0, 10.0, 4.0, p.midpoint) for p in parts]
         with pytest.raises(ValueError, match="mass"):
-            SensorBank.build(grid, parts, chars)
+            SensorBank.build(grid, DeviceSpec(5, m=0.0, M=10.0, nu=4.0))
 
 
 class TestMeasure:
@@ -208,7 +187,7 @@ class TestMeasure:
             np.full(5, 350.0), rel=1e-12)
 
     def test_indicator_sensors_average_partition(self, grid):
-        bank = SensorBank.build(grid, *bank_devices(0.30, 5, 1.0, 0.0, 4.0))
+        bank = SensorBank.build(grid, DeviceSpec(5, m=1.0, M=0.0, nu=4.0))
         field = np.zeros(grid.n_cells)
         top = 300.0 + 100.0 * grid.x1_centers() / 0.30
         field[(grid.K - 1) * grid.J:] = top
@@ -224,7 +203,8 @@ class TestMeasure:
         y = sensor_bank.measure(field, grid)
         # brute-force quadrature, one python loop per sensor
         expected = []
-        for part, char in zip(sensor_bank.partitions, sensor_bank.characterizations):
+        for part in partitions(0.30, 5):
+            char = Characterization(1.0, 10.0, 4.0, part.midpoint)
             num = den = 0.0
             for j in range(grid.J):
                 if part.lo <= x[j] < part.hi:
@@ -248,8 +228,8 @@ class TestMeasure:
     def test_peak_magnitude_cancels(self, grid):
         # halving every weight scales numerator and mass alike; with the
         # 0.5 factor exact in binary the readings match bitwise
-        full = SensorBank.build(grid, *bank_devices(0.30, 5, 1.0, 10.0, 4.0))
-        half = SensorBank.build(grid, *bank_devices(0.30, 5, 0.5, 10.0, 4.0))
+        full = SensorBank.build(grid, DeviceSpec(5, m=1.0, M=10.0, nu=4.0))
+        half = SensorBank.build(grid, DeviceSpec(5, m=0.5, M=10.0, nu=4.0))
         rng = np.random.default_rng(5)
         field = rng.uniform(250.0, 500.0, grid.n_cells)
         assert (full.measure(field, grid) == half.measure(field, grid)).all()

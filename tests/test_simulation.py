@@ -151,6 +151,26 @@ class TestRunSimulation:
         run_simulation(cfg)
         assert counts == dict.fromkeys(names, cfg.n_steps())
 
+    def test_banks_built_once_per_config(self, monkeypatch):
+        # load_config builds the banks to validate them; the run reuses them
+        from heatplate import load_config, simulation
+        calls = []
+        original = simulation.build_banks
+
+        def counting(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(simulation, "build_banks", counting)
+        cfg = load_config('{"grid": {"J": 20, "K": 8}, "time": {"t_final": 0.02}}')
+        run_simulation(cfg)
+        assert len(calls) == 1
+        # a replaced config compares by its fields and builds its own banks
+        assert dataclasses.replace(cfg) == cfg
+        wider = dataclasses.replace(cfg, grid=Grid(PlateGeometry(0.30, 0.01), J=40, K=8))
+        assert wider.banks[0].weight_table.shape == (5, 40)
+        assert len(calls) == 2
+
     def test_insulated_constant_material_preserves_mean(self):
         cfg = short_config(
             material=ThermalMaterial(rho=7800.0, c0=330.0, c1=0.0,

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from heatplate import (ActuatorBank, BoundaryFluxes, Characterization, Grid,
+from heatplate import (ActuatorBank, BoundaryFluxes, DeviceSpec, Grid,
                        PlateGeometry, SurfaceExchange, ThermalMaterial,
                        assemble_rhs, boundary_fluxes, step_forward_euler,
-                       stability_limit, uniform_partitions, weighted_rhs_sum,
-                       worst_invalid_cell)
+                       stability_limit, weighted_rhs_sum, worst_invalid_cell)
 
 INSULATED = SurfaceExchange(h=0.0, emissivity=0.0, theta_amb=300.0)
 
 
 def make_bank(grid, M=0.0, count=5):
-    parts = uniform_partitions(grid.geometry.length, count)
-    chars = [Characterization(1.0, M, 4.0, p.midpoint) for p in parts]
-    return ActuatorBank.build(grid, parts, chars)
+    return ActuatorBank.build(grid, DeviceSpec(count, m=1.0, M=M, nu=4.0))
 
 
 def zero_fluxes(grid):
@@ -146,7 +143,7 @@ class TestAssembleRhs:
         tn, ts = T[2, 1], T[0, 1]
         expected = (4.0 / (2.0 * 10.0)) * ((te + tw - 2 * tc) / g.dx1**2
                                            + (tn + ts - 2 * tc) / g.dx2**2)
-        assert rhs[g.flat_index(1, 1)] == pytest.approx(expected, rel=1e-12)
+        assert rhs[g.J + 1] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("J,K", [(3, 3), (4, 4), (3, 5), (2, 5), (6, 2), (5, 3)])
     def test_matches_ghost_cell_oracle(self, J, K, material):
@@ -224,14 +221,14 @@ class TestStepForwardEuler:
     def test_hot_cell_spreads_to_neighbors_only(self, material):
         g = Grid(PlateGeometry(0.1, 0.1), J=5, K=5)
         field = np.full(g.n_cells, 300.0)
-        center = g.flat_index(2, 2)
+        center = 2 * g.J + 2
         field[center] = 310.0
         rhs = assemble_rhs(field, g, material, zero_fluxes(g))
         dt = 0.25 * stability_limit(g, material, 310.0)
         new = step_forward_euler(field, rhs, dt)
         assert new[center] < 310.0
-        neighbors = [g.flat_index(1, 2), g.flat_index(3, 2),
-                     g.flat_index(2, 1), g.flat_index(2, 3)]
+        neighbors = [2 * g.J + 1, 2 * g.J + 3,
+                     g.J + 2, 3 * g.J + 2]
         for idx in neighbors:
             assert new[idx] > 300.0
         untouched = np.setdiff1d(np.arange(g.n_cells), neighbors + [center])
@@ -321,7 +318,7 @@ class TestWeightedRhsSum:
     def test_single_hot_cell_telescopes(self, material):
         g = Grid(PlateGeometry(0.1, 0.1), J=5, K=5)
         field = np.full(g.n_cells, 300.0)
-        field[g.flat_index(2, 2)] = 310.0
+        field[2 * g.J + 2] = 310.0
         rhs = assemble_rhs(field, g, material, zero_fluxes(g))
         gross = float(np.sum(np.abs(
             material.volumetric_heat_coefficient(field) * rhs
