@@ -84,9 +84,7 @@ def _cmd_run(args) -> int:
         doc["time"]["t_final"] = args.t_final
     cfg = parse_config(doc)
     result = run_simulation(cfg)
-    # no heatmap for a diverged field: the CSVs keep the forensics
-    render = args.render and not result.diverged
-    written = write_run_outputs(result, args.out, render=render)
+    written = write_run_outputs(result, args.out, render=args.render)
     print(f"wrote {len(written)} files to {args.out}")
     if result.diverged:
         t = (result.divergence_step + 1) * cfg.dt  # the end of the failed step

@@ -1,7 +1,9 @@
 """Result serialization: CSV tables and a binary PGM heatmap.
 
-CSV numbers use Python's repr, the shortest decimal form that round-trips
-bit-exactly.  Files use LF line endings and UTF-8.
+CSV numbers are Python's repr, the shortest decimal form that round-trips
+bit-exactly; they are produced for a block of cells (or logged rows) at a
+time by numpy, and the tables stream one bounded block at a time.  Files
+use LF line endings and UTF-8.
 """
 
 from __future__ import annotations
@@ -11,22 +13,44 @@ from pathlib import Path
 
 import numpy as np
 
+from ._floatrepr import repr_block
 from .grid import Grid
 from .simulation import SimulationResult, averaged_signals
+
+# Values formatted per block.  Each block's temporaries take a few hundred
+# bytes per value, so this bounds the writers' memory whatever the file size.
+_BLOCK_VALUES = 2048
+
+
+def _write_lines(file, fields) -> None:
+    """Write one line per element of the fields' common leading shape: the
+    fields' text joined by "," and ended by a newline.  Each field is a
+    repr_block character matrix whose last axis holds the text."""
+    shape = np.broadcast_shapes(*(field.shape[:-1] for field in fields))
+    width = sum(field.shape[-1] + 1 for field in fields)
+    lines = np.empty((*shape, width), np.uint8)
+    start = 0
+    for field in fields:
+        end = start + field.shape[-1]
+        lines[..., start:end] = field
+        lines[..., end] = ord(",")
+        start = end + 1
+    lines[..., -1] = ord("\n")
+    file.write(str(lines[lines != 0], "ascii"))
 
 
 def write_field_csv(field_values, grid: Grid, file) -> None:
     """Field table "x1,x2,theta", one row per cell in flat-index order,
-    written into an open text file."""
-    rows = np.asarray(field_values).reshape(grid.K, grid.J)
-    x1 = [f"{x!r}," for x in grid.x1_centers().tolist()]
+    written into an open text file one block of whole grid rows at a time."""
+    rows = np.asarray(field_values, dtype=float).reshape(grid.K, grid.J)
+    x1 = repr_block(grid.x1_centers())[None]
+    x2 = repr_block(grid.x2_centers())[:, None]
     file.write("x1,x2,theta\n")
-    # One block of J lines per grid row keeps only one row's strings alive.
-    for x2, row in zip(grid.x2_centers().tolist(), rows):
-        x2_text = f"{x2!r},"
-        prefixes = [a + x2_text for a in x1]
-        file.write("\n".join(map(str.__add__, prefixes, map(repr, row.tolist()))))
-        file.write("\n")
+    step = max(1, _BLOCK_VALUES // grid.J)
+    for k in range(0, grid.K, step):
+        block = rows[k:k + step]
+        theta = repr_block(block).reshape(*block.shape, -1)
+        _write_lines(file, [x1, x2[k:k + step], theta])
 
 
 def read_field_csv(text: str) -> np.ndarray:
@@ -37,7 +61,7 @@ def read_field_csv(text: str) -> np.ndarray:
 
 def write_signals_csv(result: SimulationResult, file) -> None:
     """Signal log with per-channel inputs/outputs plus channel averages,
-    written into an open text file.
+    written into an open text file one block of logged rows at a time.
 
     Header "t,u_0..,y_0..,u_avg,y_avg"; one line per logged time.
     """
@@ -49,9 +73,13 @@ def write_signals_csv(result: SimulationResult, file) -> None:
     header += [f"y_{n}" for n in range(n_y)]
     header += ["u_avg", "y_avg"]
     file.write(",".join(header) + "\n")
-    for t, u, y, ua, ya in zip(times.tolist(), result.inputs, result.outputs,
-                               u_mean.tolist(), y_mean.tolist()):
-        file.write(",".join(map(repr, [t, *u.tolist(), *y.tolist(), ua, ya])) + "\n")
+    step = max(1, _BLOCK_VALUES // len(header))
+    for i in range(0, len(times), step):
+        rows = slice(i, i + step)
+        table = np.column_stack([times[rows], result.inputs[rows],
+                                 result.outputs[rows], u_mean[rows], y_mean[rows]])
+        chars = repr_block(table).reshape(*table.shape, -1)
+        _write_lines(file, [chars[:, n] for n in range(len(header))])
 
 
 def render_heatmap(field_values, grid: Grid, theta_lo: float | None = None,
@@ -61,9 +89,12 @@ def render_heatmap(field_values, grid: Grid, theta_lo: float | None = None,
     The topside row k = K-1 comes first so the image sits the way the
     plate does.  Pixels map theta linearly from [theta_lo, theta_hi] onto
     0..255, clamped; omitted bounds use the field's min/max, and a
-    degenerate auto range (uniform field) renders mid-gray.
+    degenerate auto range (uniform field) renders mid-gray.  A field with
+    a non-finite value has no image and raises ValueError.
     """
     field_values = np.asarray(field_values, dtype=float)
+    if not np.isfinite(field_values).all():
+        raise ValueError("cannot render a field with non-finite values")
     image = field_values.reshape(grid.K, grid.J)[::-1]
     if theta_lo is None and theta_hi is None:
         theta_lo = float(image.min())
@@ -87,6 +118,7 @@ def write_run_outputs(result: SimulationResult, out_dir, *,
 
     The CSV writers stream into the open files.  A snapshot that is the
     final field itself is copied from final_field.csv, not formatted again.
+    A diverged run gets no heatmap: its CSVs keep the forensics.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -108,7 +140,7 @@ def write_run_outputs(result: SimulationResult, out_dir, *,
             write_csv(name, write_field_csv, snapshot, grid)
     if len(result.signal_times):
         write_csv("signals.csv", write_signals_csv, result)
-    if render:
+    if render and not result.diverged:
         path = out / "heatmap.pgm"
         path.write_bytes(render_heatmap(result.final_field, grid))
         written.append(path)

@@ -185,6 +185,12 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             render_heatmap(np.full(4, 300.0), unit_grid, 350.0, 350.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bounds", [(), (250.0, 350.0)])
+    def test_rejects_non_finite_field(self, unit_grid, bad, bounds):
+        with pytest.raises(ValueError, match="non-finite"):
+            render_heatmap(np.array([300.0, bad, 310.0, 320.0]), unit_grid, *bounds)
+
 
 class TestRunOutputs:
     def test_writes_all_files(self, tmp_path):
@@ -218,6 +224,13 @@ class TestRunOutputs:
         final = (tmp_path / "final_field.csv").read_bytes()
         assert final == per_cell_field_csv(result.final_field, grid).encode()
         assert (tmp_path / "snapshot_0003.csv").read_bytes() == final
+
+    def test_diverged_run_gets_no_heatmap(self, tmp_path):
+        result = capped_run(signal_stride=3, snapshot_stride=2)
+        assert result.diverged
+        written = write_run_outputs(result, tmp_path, render=True)
+        assert not (tmp_path / "heatmap.pgm").exists()
+        assert tmp_path / "final_field.csv" in written
 
 
 def capped_run(**overrides):
@@ -277,3 +290,21 @@ class TestStreamedFiles:
         size = (tmp_path / "final_field.csv").stat().st_size
         assert size > 2_000_000
         assert peak < size / 4
+
+    def test_signals_memory_does_not_grow_with_log_length(self, tmp_path):
+        result = run_simulation(short_config(t_final=0.001))
+        rows = 50_000
+        rng = np.random.default_rng(5)
+        result.signal_times = np.arange(rows) * 1e-3
+        result.inputs = rng.uniform(0.0, 3e5, (rows, 5))
+        result.outputs = rng.uniform(300.0, 420.0, (rows, 5))
+        path = tmp_path / "signals.csv"
+        with path.open("w", encoding="utf-8", newline="\n") as file:
+            tracemalloc.start()
+            try:
+                write_signals_csv(result, file)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert path.read_bytes() == per_cell_signals_csv(result).encode()
+        assert peak < path.stat().st_size / 4

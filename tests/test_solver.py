@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatplate import (ActuatorBank, BoundaryFluxes, DeviceSpec, Grid,
                        PlateGeometry, SurfaceExchange, ThermalMaterial,
@@ -341,3 +343,27 @@ class TestWeightedRhsSum:
                 material.volumetric_heat_coefficient(field) * rhs
             )) * g.dx1 * g.dx2)
             assert abs(total - boundary) <= 1e-9 * max(abs(boundary), gross)
+
+    @settings(max_examples=100, deadline=None)
+    @given(J=st.integers(2, 30), K=st.integers(2, 30), M=st.sampled_from([0.0, 30.0]),
+           count=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_balances_boundary_flux_total_property(self, preset1, J, K, M,
+                                                   count, seed):
+        # The flux totals come from boundary_fluxes: emission of either sign
+        # around the 300 K ambient and heater inputs of either sign, under
+        # the flat (M = 0) and the bump (M = 30) actuator shapes.
+        material, exchange = preset1.material, preset1.exchange
+        rng = np.random.default_rng(seed)
+        g = Grid(PlateGeometry(0.3, 0.01), J=J, K=K)
+        bank = ActuatorBank.build(g, DeviceSpec(min(count, J), m=1.0, M=M, nu=4.0))
+        field = rng.uniform(200.0, 900.0, g.n_cells)
+        u = rng.uniform(-1e5, 1e5, bank.count)
+        fluxes = boundary_fluxes(field, g, exchange, bank, u)
+        rhs = assemble_rhs(field, g, material, fluxes)
+        total = weighted_rhs_sum(field, rhs, g, material)
+        boundary = (g.dx2 * (fluxes.left.sum() + fluxes.right.sum())
+                    + g.dx1 * (fluxes.top.sum() + fluxes.underside.sum()))
+        gross = float(np.sum(np.abs(
+            material.volumetric_heat_coefficient(field) * rhs
+        )) * g.dx1 * g.dx2)
+        assert abs(total - boundary) <= 1e-9 * max(abs(boundary), gross)
