@@ -11,11 +11,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, config_to_document, load_config, parse_config
+from .config import (ConfigError, _decode_document, config_to_document,
+                     parse_config)
 from .grid import stability_limit
 from .output import write_run_outputs
-from .simulation import (SimulationConfig, averaged_signals, run_simulation,
-                         scenario_preset, topside_statistics)
+from .simulation import (averaged_signals, run_simulation, scenario_preset,
+                         topside_statistics)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -62,26 +63,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> SimulationConfig:
+def _load(args) -> dict:
     if args.scenario is not None:
-        return scenario_preset(args.scenario)
+        return config_to_document(scenario_preset(args.scenario))
     try:
         text = args.config.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {args.config}: {exc.strerror}") from exc
-    return load_config(text)
+    return _decode_document(text)
+
+
+def _override(doc, section: str, key: str, value):
+    """Set doc[section][key]; a malformed document is left to parse_config."""
+    if isinstance(doc, dict) and isinstance(doc.setdefault(section, {}), dict):
+        doc[section][key] = value
 
 
 def _cmd_run(args) -> int:
     # Overrides edit the config document, so they pass the same validation
     # as a JSON file and their errors name the same paths.
-    doc = config_to_document(_load(args))
+    doc = _load(args)
     if args.grid is not None:
-        doc["grid"]["J"], doc["grid"]["K"] = args.grid
+        _override(doc, "grid", "J", args.grid[0])
+        _override(doc, "grid", "K", args.grid[1])
     if args.dt is not None:
-        doc["time"]["dt"] = args.dt
+        _override(doc, "time", "dt", args.dt)
     if args.t_final is not None:
-        doc["time"]["t_final"] = args.t_final
+        _override(doc, "time", "t_final", args.t_final)
     cfg = parse_config(doc)
     result = run_simulation(cfg)
     written = write_run_outputs(result, args.out, render=args.render)
@@ -102,7 +110,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _load(args)
+    cfg = parse_config(_load(args))
     limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
     verdict = "OK" if cfg.dt <= limit else "EXCEEDS the advisory limit"
     print("config OK: "

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
+from dataclasses import fields
 
 from .control import ControllerConfig
 from .devices import DeviceSpec
@@ -23,32 +25,43 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
 
 
+# Document sections in build order, each with the dataclass it builds.  A
+# section's keys are that dataclass's fields, named alike except L and H; a
+# field named after an earlier section holds that section's object instead.
+_SECTIONS = {
+    "geometry": PlateGeometry,
+    "grid": Grid,
+    "material": ThermalMaterial,
+    "exchange": SurfaceExchange,
+    "actuators": DeviceSpec,
+    "sensors": DeviceSpec,
+    "controller": ControllerConfig,
+    "initial": InitialCondition,
+    "time": SimulationConfig,
+}
+_KEYS = {"length": "L", "height": "H"}
+
+
+def _keys(cls):
+    """(document key, field) of each number a section's dataclass holds."""
+    return [(_KEYS.get(f.name, f.name), f) for f in fields(cls)
+            if f.name not in _SECTIONS]
+
+
 def config_to_document(cfg: SimulationConfig) -> dict:
     """Plain-dict document for a config; inverse of parse_config."""
-    ctrl = cfg.controller
-    kp = list(ctrl.kp)
-    return {
-        "geometry": {"L": cfg.grid.geometry.length, "H": cfg.grid.geometry.height},
-        "grid": {"J": cfg.grid.J, "K": cfg.grid.K},
-        "material": {"rho": cfg.material.rho, "c0": cfg.material.c0,
-                     "c1": cfg.material.c1, "lambda0": cfg.material.lambda0,
-                     "lambda1": cfg.material.lambda1,
-                     "theta_cap": cfg.material.theta_cap},
-        "exchange": {"h": cfg.exchange.h, "emissivity": cfg.exchange.emissivity,
-                     "sigma": cfg.exchange.sigma, "theta_amb": cfg.exchange.theta_amb},
-        "actuators": {"count": cfg.actuators.count, "m": cfg.actuators.m,
-                      "M": cfg.actuators.M, "nu": cfg.actuators.nu},
-        "sensors": {"count": cfg.sensors.count, "m": cfg.sensors.m,
-                    "M": cfg.sensors.M, "nu": cfg.sensors.nu},
-        "controller": {"kp": kp[0] if len(set(kp)) == 1 else kp,
-                       "y_ref": ctrl.y_ref, "u_min": ctrl.u_min,
-                       "u_max": None if math.isinf(ctrl.u_max) else ctrl.u_max},
-        "initial": {"base": cfg.initial.base, "a0": cfg.initial.a0,
-                    "a1": cfg.initial.a1, "a2": cfg.initial.a2},
-        "time": {"dt": cfg.dt, "t_final": cfg.t_final,
-                 "snapshot_stride": cfg.snapshot_stride,
-                 "signal_stride": cfg.signal_stride},
-    }
+    # The config is the time section's object; the geometry sits on the grid.
+    objects = {"time": cfg, "geometry": cfg.grid.geometry}
+    doc = {}
+    for section, cls in _SECTIONS.items():
+        obj = objects[section] if section in objects else getattr(cfg, section)
+        doc[section] = {key: getattr(obj, f.name) for key, f in _keys(cls)}
+    controller = doc["controller"]
+    kp = controller["kp"]
+    controller["kp"] = kp[0] if len(set(kp)) == 1 else list(kp)
+    if math.isinf(controller["u_max"]):
+        controller["u_max"] = None
+    return doc
 
 
 def dump_config(cfg: SimulationConfig) -> str:
@@ -56,163 +69,95 @@ def dump_config(cfg: SimulationConfig) -> str:
     return json.dumps(config_to_document(cfg), indent=2) + "\n"
 
 
-def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    merged = {}
-    for key, default in defaults.items():
-        here = f"{path}{key}"
-        if key in user:
-            value = user[key]
-            if isinstance(default, dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{here}: expected an object")
-                merged[key] = _merge(default, value, here + ".")
-            else:
-                merged[key] = value
-        else:
-            merged[key] = default
-    unknown = set(user) - set(defaults)
+def _reject_unknown(given: dict, known: dict, prefix: str):
+    unknown = sorted(set(given) - set(known))
     if unknown:
-        raise ConfigError(f"{path}{sorted(unknown)[0]}: unknown key")
-    return merged
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key")
 
 
-def _number(doc, path, *, integer=False, allow_null=False):
-    """The number at `path`, checked for JSON type, finiteness and integrality."""
-    section, key = path.split(".")
-    value = doc[section][key]
-    if value is None and allow_null:
-        return None
+def _number(value, path, *, integer=False):
+    """`value` checked for JSON type, finiteness and integrality."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
         raise ConfigError(f"{path}: must be finite")
     if integer and value != int(value):
         raise ConfigError(f"{path}: expected an integer")
     return int(value) if integer else float(value)
 
 
-# Dataclass fields whose document path is not "<section>.<field>".
-_PATHS = {"length": "geometry.L", "height": "geometry.H",
-          "sensors": "sensors.count", "controller": "controller.kp"}
+def _value(path, field, value, objects):
+    """The dataclass argument for the document value at `path`."""
+    if path == "controller.kp":  # one gain per actuator, or one for all
+        if isinstance(value, list):
+            return tuple(_number(gain, path) for gain in value)
+        return (_number(value, path),) * objects["actuators"].count
+    if path == "controller.u_max" and value is None:
+        return math.inf
+    return _number(value, path, integer=field.type in (int, "int"))
 
 
-def _build(section, factory, **kwargs):
-    """Construct a domain object, mapping its ValueError onto a document path.
+@contextmanager
+def _errors_under(section):
+    """Re-raise a dataclass's ValueError as a ConfigError on its document path.
 
-    The dataclasses raise ValueError("<field>: <reason>"); the path is
-    "<section>.<field>" unless _PATHS names another.
+    The dataclasses raise ValueError("<field>: <reason>"), and the path is
+    "<section>.<key>".  A field of another section's object, such as
+    "sensors.count" from SimulationConfig or "geometry.length" from Grid,
+    is reported under that section.
     """
     try:
-        return factory(**kwargs)
+        yield
     except ValueError as exc:
         field, _, reason = str(exc).partition(": ")
-        path = _PATHS.get(field, f"{section}.{field}")
-        raise ConfigError(f"{path}: {reason}") from exc
+        head, _, rest = field.partition(".")
+        if rest:
+            section, field = head, rest
+        raise ConfigError(f"{section}.{_KEYS.get(field, field)}: {reason}") from exc
 
 
 def parse_config(document: dict) -> SimulationConfig:
     """Validate a document dict and build the simulation configuration."""
     if not isinstance(document, dict):
         raise ConfigError("top level: expected an object")
-    doc = _merge(config_to_document(scenario_preset(1)), document)
+    doc = config_to_document(scenario_preset(1))
+    for section, values in doc.items():
+        given = document.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"{section}: expected an object")
+        _reject_unknown(given, values, f"{section}.")
+        values.update(given)
+    _reject_unknown(document, doc, "")
 
-    geometry = _build(
-        "geometry", PlateGeometry,
-        length=_number(doc, "geometry.L"),
-        height=_number(doc, "geometry.H"),
-    )
-    grid = _build(
-        "grid", Grid,
-        geometry=geometry,
-        J=_number(doc, "grid.J", integer=True),
-        K=_number(doc, "grid.K", integer=True),
-    )
-    material = _build(
-        "material", ThermalMaterial,
-        rho=_number(doc, "material.rho"),
-        c0=_number(doc, "material.c0"),
-        c1=_number(doc, "material.c1"),
-        lambda0=_number(doc, "material.lambda0"),
-        lambda1=_number(doc, "material.lambda1"),
-        theta_cap=_number(doc, "material.theta_cap"),
-    )
-    exchange = _build(
-        "exchange", SurfaceExchange,
-        h=_number(doc, "exchange.h"),
-        emissivity=_number(doc, "exchange.emissivity"),
-        sigma=_number(doc, "exchange.sigma"),
-        theta_amb=_number(doc, "exchange.theta_amb"),
-    )
-
-    def device_spec(section):
-        return _build(
-            section, DeviceSpec,
-            count=_number(doc, f"{section}.count", integer=True),
-            m=_number(doc, f"{section}.m"),
-            M=_number(doc, f"{section}.M"),
-            nu=_number(doc, f"{section}.nu"),
-        )
-
-    actuators = device_spec("actuators")
-    sensors = device_spec("sensors")
-
-    kp = doc["controller"]["kp"]
-    if isinstance(kp, list):
-        if not all(isinstance(g, (int, float)) and not isinstance(g, bool)
-                   and math.isfinite(g) for g in kp):
-            raise ConfigError("controller.kp: gains must be finite numbers")
-        kp = tuple(float(g) for g in kp)
-    else:
-        kp = (_number(doc, "controller.kp"),) * actuators.count
-
-    u_max = _number(doc, "controller.u_max", allow_null=True)
-    controller = _build(
-        "controller", ControllerConfig,
-        kp=kp,
-        y_ref=_number(doc, "controller.y_ref"),
-        u_min=_number(doc, "controller.u_min"),
-        u_max=math.inf if u_max is None else u_max,
-    )
-
-    initial = _build(
-        "initial", InitialCondition,
-        base=_number(doc, "initial.base"),
-        a0=_number(doc, "initial.a0"),
-        a1=_number(doc, "initial.a1"),
-        a2=_number(doc, "initial.a2"),
-    )
-
-    # SimulationConfig's own fields form the time section; its cross-field
-    # errors name the counts or gains they compare, through _PATHS.
-    cfg = _build(
-        "time", SimulationConfig,
-        grid=grid,
-        material=material,
-        exchange=exchange,
-        actuators=actuators,
-        sensors=sensors,
-        controller=controller,
-        initial=initial,
-        dt=_number(doc, "time.dt"),
-        t_final=_number(doc, "time.t_final"),
-        snapshot_stride=_number(doc, "time.snapshot_stride", integer=True),
-        signal_stride=_number(doc, "time.signal_stride", integer=True),
-    )
+    objects = {}
+    for section, cls in _SECTIONS.items():
+        kwargs = {f.name: objects[f.name] for f in fields(cls) if f.name in _SECTIONS}
+        for key, f in _keys(cls):
+            kwargs[f.name] = _value(f"{section}.{key}", f, doc[section][key], objects)
+        with _errors_under(section):
+            objects[section] = cls(**kwargs)
+    cfg = objects["time"]
     # Banks that do not fit the grid fail here, under their spec's path, so
     # `check` rejects what `run` would; the run reuses the cached banks.
-    try:
+    with _errors_under("time"):
         cfg.banks
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
-def load_config(text: str) -> SimulationConfig:
-    """Parse and validate a JSON configuration document."""
+def _decode_document(text: str) -> dict:
+    """The JSON document in `text`; a syntax error names its position."""
     try:
-        document = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_config(document)
+
+
+def load_config(text: str) -> SimulationConfig:
+    """Parse and validate a JSON configuration document."""
+    return parse_config(_decode_document(text))

@@ -7,6 +7,7 @@ row k = K-1 occupies the last J entries of a field vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class Grid:
 
     At least two cells per axis are required: the five-point stencil and
     the ghost-cell boundary substitution both need a distinct neighbor.
+    The stencil divides by the squared cell sizes, so each square must be
+    a finite nonzero float.
     """
 
     geometry: PlateGeometry
@@ -45,6 +48,10 @@ class Grid:
             raise ValueError(f"J: must be >= 2, got {self.J}")
         if self.K < 2:
             raise ValueError(f"K: must be >= 2, got {self.K}")
+        for name, dx in (("length", self.dx1), ("height", self.dx2)):
+            if not 0 < dx * dx < math.inf:
+                raise ValueError(f"geometry.{name}: cell size {dx:g} m has a "
+                                 f"square of {dx * dx:g}, outside (0, inf)")
 
     @property
     def dx1(self) -> float:

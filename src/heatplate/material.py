@@ -56,13 +56,6 @@ class ThermalMaterial:
         """lambda(theta) = lambda0 + lambda1*theta, elementwise over arrays."""
         return self.lambda0 + self.lambda1 * theta
 
-    def face_conductivity(self, theta_a, theta_b):
-        """Conductivity at a cell face, evaluated at the mean temperature.
-
-        Symmetric in its arguments, bitwise: (a + b)/2 commutes.
-        """
-        return self.thermal_conductivity((theta_a + theta_b) / 2)
-
     def volumetric_heat_coefficient(self, theta):
         """rho * c(theta), the J/(m^3 K) factor in front of dT/dt."""
         return theta * (self.rho * self.c1) + self.rho * self.c0

@@ -76,12 +76,12 @@ class SimulationConfig:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if self.controller.channels != self.actuators.count:
             raise ValueError(
-                f"controller: got {self.controller.channels} gains for "
+                f"controller.kp: got {self.controller.channels} gains for "
                 f"{self.actuators.count} actuators"
             )
         if self.sensors.count != self.actuators.count:
             raise ValueError(
-                "sensors: channel pairing needs equal counts, got "
+                "sensors.count: channel pairing needs equal counts, got "
                 f"{self.sensors.count} sensors and {self.actuators.count} actuators"
             )
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatplate import read_field_csv
+from heatplate import cli, config, output, read_field_csv, simulation
 from heatplate.cli import main
 
 TINY_CONFIG = {
@@ -35,15 +35,41 @@ def test_package_exports_resolve():
         assert name in heatplate.__all__
 
 
-def test_benchmark_tracer_imports():
+def test_benchmark_tracer_imports(tmp_path):
     # heatbench/spans.py reads the device classes it wraps (BoundaryPartition,
     # Characterization, SensorBank, ActuatorBank) when it is imported, so
-    # deleting one breaks the traced benchmark run
+    # deleting one breaks the traced benchmark run.  That run (run.py
+    # --trace 1) also fails unless its boundary_fluxes probe finds the inputs
+    # u at args[4], its euler_step probe sees each step, and every step
+    # records one span of each stage.
     path = Path(__file__).resolve().parents[1] / "heatbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("heatbench_spans", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module.TARGETS
+
+    inputs, steps = [], []
+    tracer = module.Tracer(probes={
+        "solver.boundary_fluxes": lambda args, result: inputs.append(np.shape(args[4])),
+        "solver.euler_step": lambda args, result: steps.append(np.shape(result)),
+    })
+    original = simulation.run_simulation
+    tracer.patch()
+    try:
+        cfg = config.load_config(json.dumps(
+            {"grid": {"J": 20, "K": 8}, "time": {"dt": 1e-3, "t_final": 0.03}}))
+        result = simulation.run_simulation(cfg)
+        output.write_run_outputs(result, tmp_path / "out")
+    finally:
+        tracer.restore()
+    assert simulation.run_simulation is original
+    assert cfg.n_steps() == 30 and not result.diverged
+    assert inputs == [(5,)] * 30
+    assert steps == [(20 * 8,)] * 30
+    calls = module.summarize(tracer)["calls"]
+    for name in ("solver.boundary_fluxes", "solver.assemble_rhs", "solver.euler_step"):
+        assert calls[name] == 30, name
+    assert calls["devices.measure"] == 31  # and once more for the closing sample
 
 
 def test_check_scenario(capsys):
@@ -86,6 +112,41 @@ def test_run_unstable_dt_exits_1(tmp_path, capsys):
     # diverged fields are not rendered
     assert not (tmp_path / "x" / "heatmap.pgm").exists()
     assert (tmp_path / "x" / "final_field.csv").exists()
+
+
+def test_run_parses_the_document_once(tiny_config_path, tmp_path, monkeypatch):
+    counts = {"parse": 0, "banks": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    parse = counting("parse", config.parse_config)
+    monkeypatch.setattr(config, "parse_config", parse)
+    monkeypatch.setattr(cli, "parse_config", parse)
+    monkeypatch.setattr(simulation, "build_banks",
+                        counting("banks", simulation.build_banks))
+    assert main(["run", "--config", str(tiny_config_path), "--dt", "0.001",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert counts == {"parse": 1, "banks": 1}
+
+
+def test_overrides_edit_a_partial_document(tmp_path, capsys):
+    path = tmp_path / "partial.json"
+    path.write_text('{"material": {"theta_cap": 2000}}')
+    out_dir = tmp_path / "p"
+    assert main(["run", "--config", str(path), "--grid", "10x4", "--dt", "0.001",
+                 "--t-final", "0.01", "--out", str(out_dir)]) == 0
+    assert read_field_csv((out_dir / "final_field.csv").read_text()).shape == (40,)
+    # a malformed document is reported, not overridden
+    for text, message in (("[1]", "top level: expected an object"),
+                          ('{"time": 3}', "time: expected an object")):
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--dt", "0.001",
+                     "--out", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_grid_and_t_final_overrides(tmp_path):
@@ -136,6 +197,14 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     path.write_text('{"sensors": {"m": 0}}')
     assert main(["check", "--config", str(path)]) == 2
     assert "sensors.m: sensor 0 has zero quadrature mass" in capsys.readouterr().err
+    # a cell size whose square underflows or overflows is a config error
+    for doc, message in (('{"geometry": {"L": 1e-170}}', "geometry.L: cell size"),
+                         ('{"geometry": {"H": 1e-170}}', "geometry.H: cell size"),
+                         ('{"geometry": {"L": 1e300}, "sensors": {"M": 0}}',
+                          "geometry.L: cell size")):
+        path.write_text(doc)
+        assert main(["check", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

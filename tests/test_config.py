@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -75,10 +76,23 @@ class TestValidation:
         ('{"material": {"theta_cap": 0}}', r"material\.theta_cap"),
         ('{"sensors": {"m": 0}}', r"sensors\.m: sensor 0 has zero quadrature mass"),
         ('{"grid": {"J": 3}}', r"actuators\.count: actuator 1 .*J = 3"),
+        ('{"geometry": {"L": 1e-170}}', r"geometry\.L: cell size"),
+        ('{"geometry": {"H": 1e-170}}', r"geometry\.H: cell size"),
+        ('{"geometry": {"L": 1e300}, "sensors": {"M": 0}}', r"geometry\.L: cell size"),
+        ('{"grid": {"J": 1%s}}' % ("0" * 400), r"grid\.J: must be finite"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with pytest.raises(ConfigError, match=path):
             load_config(doc)
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, values in
+        json.loads(dump_config(scenario_preset(1))).items() for key in values
+    ])
+    def test_wrong_type_names_its_path(self, section, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config({section: {key: "x"}})
+        assert str(info.value).startswith(f"{section}.{key}:")
 
     def test_horizon_within_rounding_of_whole_steps(self):
         # 0.05 / 1e-3 is 50.00000000000001 in floating point
@@ -147,6 +161,12 @@ class TestRoundTrip:
             "time": {"dt": 1e-4, "t_final": 0.5},
         }))
         assert load_config(dump_config(cfg)) == cfg
+
+    def test_readme_full_document_is_scenario_1(self, preset1):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Configuration"):]
+        start = section.index("```json\n") + len("```json\n")
+        assert load_config(section[start:section.index("```", start)]) == preset1
 
     def test_parse_config_accepts_document_dict(self, preset1):
         assert parse_config({}) == preset1

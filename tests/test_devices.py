@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatplate import (ActuatorBank, BoundaryPartition, Characterization,
-                       DeviceSpec, Grid, PlateGeometry, SensorBank)
+from heatplate import ActuatorBank, DeviceSpec, Grid, PlateGeometry, SensorBank
+from heatplate.devices import BoundaryPartition, Characterization
 
 
 def partitions(length, count):
@@ -120,7 +120,13 @@ class TestActuatorBank:
         # Every cell center lies in exactly one half-open interval, so a
         # flat bank's columns each sum to one; with count <= J every
         # interval is at least a cell wide and holds a center, and with
-        # count > J some interval must hold none.
+        # count > J some interval must hold none.  A cell width whose square
+        # is not a finite nonzero float makes no grid.
+        dx = length / J
+        if not 0 < dx * dx < math.inf:
+            with pytest.raises(ValueError, match="geometry.length: cell size"):
+                Grid(PlateGeometry(length, 0.01), J=J, K=2)
+            return
         g = Grid(PlateGeometry(length, 0.01), J=J, K=2)
         spec = DeviceSpec(count, m=1.0, M=0.0, nu=4.0)
         if count > J:

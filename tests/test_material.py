@@ -14,22 +14,6 @@ class TestThermalConductivity:
         assert mat.thermal_conductivity(777.0) == 10.0
 
 
-class TestFaceConductivity:
-    def test_mean_evaluation(self, material):
-        assert material.face_conductivity(300.0, 300.0) == pytest.approx(40.0, rel=1e-12)
-        # lambda((300+500)/2) = 10 + 0.1*400
-        assert material.face_conductivity(300.0, 500.0) == pytest.approx(50.0, rel=1e-12)
-
-    def test_equal_arguments(self, material):
-        assert material.face_conductivity(321.0, 321.0) == material.thermal_conductivity(321.0)
-
-    def test_symmetric_bitwise(self, material):
-        rng = np.random.default_rng(7)
-        a = rng.uniform(0, 2000, 100)
-        b = rng.uniform(0, 2000, 100)
-        assert (material.face_conductivity(a, b) == material.face_conductivity(b, a)).all()
-
-
 class TestEmittedFlux:
     def test_equilibrium_is_exactly_zero(self, exchange):
         assert exchange.emitted_flux(300.0) == 0.0

@@ -29,6 +29,14 @@ def random_fluxes(grid, rng, scale=2e3):
     )
 
 
+def face_conductivity(material, theta_a, theta_b):
+    """Conductivity at a cell face, evaluated at the mean temperature.
+
+    Symmetric in its arguments, bitwise: (a + b)/2 commutes.
+    """
+    return material.thermal_conductivity((theta_a + theta_b) / 2)
+
+
 def ghost_cell_rhs(field, grid, material, fluxes):
     """Brute-force oracle: materialize ghost temperatures, then apply the
     plain three-point flux balance along each axis.
@@ -44,7 +52,7 @@ def ghost_cell_rhs(field, grid, material, fluxes):
         lam = material.thermal_conductivity(theta)
         for _ in range(200):
             g = theta + dx * phi / lam
-            lam_next = material.face_conductivity(theta, g)
+            lam_next = face_conductivity(material, theta, g)
             if abs(lam_next - lam) <= 1e-15 * abs(lam):
                 lam = lam_next
                 break
@@ -58,14 +66,14 @@ def ghost_cell_rhs(field, grid, material, fluxes):
             # x1 neighbors, ghosts at the lateral boundaries
             te = T[k, j + 1] if j + 1 < J else ghost(tc, fluxes.right[k], dx1)
             tw = T[k, j - 1] if j - 1 >= 0 else ghost(tc, fluxes.left[k], dx1)
-            le = material.face_conductivity(tc, te)
-            lw = material.face_conductivity(tc, tw)
+            le = face_conductivity(material, tc, te)
+            lw = face_conductivity(material, tc, tw)
             q1 = (le * te + lw * tw - (le + lw) * tc) / dx1**2
             # x2 neighbors, ghosts at topside/underside
             tn = T[k + 1, j] if k + 1 < K else ghost(tc, fluxes.top[j], dx2)
             ts = T[k - 1, j] if k - 1 >= 0 else ghost(tc, fluxes.underside[j], dx2)
-            ln = material.face_conductivity(tc, tn)
-            ls = material.face_conductivity(tc, ts)
+            ln = face_conductivity(material, tc, tn)
+            ls = face_conductivity(material, tc, ts)
             q2 = (ln * tn + ls * ts - (ln + ls) * tc) / dx2**2
             rates[k, j] = (q1 + q2) / material.volumetric_heat_coefficient(tc)
     return rates.reshape(-1)
@@ -76,10 +84,10 @@ def face_conductivity_rhs(field, grid, material, fluxes):
     at the mean face temperature times the temperature difference."""
     T = np.asarray(field).reshape(grid.K, grid.J)
     balance = np.zeros_like(T)
-    f1 = material.face_conductivity(T[:, :-1], T[:, 1:]) * (T[:, 1:] - T[:, :-1])
+    f1 = face_conductivity(material, T[:, :-1], T[:, 1:]) * (T[:, 1:] - T[:, :-1])
     balance[:, :-1] += f1 / grid.dx1**2
     balance[:, 1:] -= f1 / grid.dx1**2
-    f2 = material.face_conductivity(T[:-1, :], T[1:, :]) * (T[1:, :] - T[:-1, :])
+    f2 = face_conductivity(material, T[:-1, :], T[1:, :]) * (T[1:, :] - T[:-1, :])
     balance[:-1, :] += f2 / grid.dx2**2
     balance[1:, :] -= f2 / grid.dx2**2
     balance[:, 0] += fluxes.left / grid.dx1
@@ -87,6 +95,23 @@ def face_conductivity_rhs(field, grid, material, fluxes):
     balance[0, :] += fluxes.underside / grid.dx2
     balance[-1, :] += fluxes.top / grid.dx2
     return (balance / material.volumetric_heat_coefficient(T)).reshape(-1)
+
+
+class TestFaceConductivity:
+    def test_mean_evaluation(self, material):
+        assert face_conductivity(material, 300.0, 300.0) == pytest.approx(40.0, rel=1e-12)
+        # lambda((300+500)/2) = 10 + 0.1*400
+        assert face_conductivity(material, 300.0, 500.0) == pytest.approx(50.0, rel=1e-12)
+
+    def test_equal_arguments(self, material):
+        assert (face_conductivity(material, 321.0, 321.0)
+                == material.thermal_conductivity(321.0))
+
+    def test_symmetric_bitwise(self, material):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0, 2000, 100)
+        b = rng.uniform(0, 2000, 100)
+        assert (face_conductivity(material, a, b) == face_conductivity(material, b, a)).all()
 
 
 class TestBoundaryFluxes:
