@@ -2,7 +2,7 @@
 weighted topside sensors and closed-loop proportional control."""
 
 from .config import ConfigError, dump_config, load_config, parse_config
-from .control import ControllerConfig, control_error, proportional_law
+from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank, DeviceSpec, SensorBank
 from .grid import Grid, PlateGeometry, stability_limit
 from .material import STEFAN_BOLTZMANN, SurfaceExchange, ThermalMaterial
@@ -22,9 +22,9 @@ __all__ = [
     "DeviceSpec", "Grid", "InitialCondition", "PlateGeometry",
     "STEFAN_BOLTZMANN", "SensorBank", "SimulationConfig", "SimulationResult",
     "SurfaceExchange", "ThermalMaterial", "TopsideStatistics", "assemble_rhs",
-    "averaged_signals", "boundary_fluxes", "build_banks", "control_error",
-    "dump_config", "initial_field", "load_config", "parse_config",
-    "proportional_law", "read_field_csv", "render_heatmap", "run_simulation",
+    "averaged_signals", "boundary_fluxes", "build_banks", "dump_config",
+    "initial_field", "load_config", "parse_config", "proportional_law",
+    "read_field_csv", "render_heatmap", "run_simulation",
     "scenario_preset", "stability_limit", "step_forward_euler",
     "topside_statistics", "weighted_rhs_sum", "worst_invalid_cell",
     "write_field_csv", "write_run_outputs", "write_signals_csv",

@@ -41,14 +41,6 @@ class ControllerConfig:
         return len(self.kp)
 
 
-def control_error(cfg: ControllerConfig, y) -> np.ndarray:
-    """Tracking error y_ref - y per channel."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (cfg.channels,):
-        raise ValueError(f"expected {cfg.channels} readings, got shape {y.shape}")
-    return cfg.y_ref - y
-
-
 def proportional_law(cfg: ControllerConfig, e) -> np.ndarray:
     """Heater inputs for an error vector: kp*e where e > 0, else 0, clamped.
 

@@ -65,7 +65,8 @@ class Characterization:
     def value(self, partition: BoundaryPartition, x):
         """Profile value at x: the bump inside the partition, 0 outside."""
         x = np.asarray(x, dtype=float)
-        bump = self.m * np.exp(-np.abs(self.M * (x - self.center)) ** self.nu)
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the exact limit
+            bump = self.m * np.exp(-np.abs(self.M * (x - self.center)) ** self.nu)
         return np.where(partition.contains(x), bump, 0.0)
 
 
@@ -103,6 +104,11 @@ def _weight_table(grid: Grid, spec: DeviceSpec, kind: str) -> np.ndarray:
     return table
 
 
+def _zeroing_key(spec: DeviceSpec) -> str:
+    """Parameter that zeroes all of a device's weights: m if 0, else M (underflow)."""
+    return "m" if spec.m == 0 else "M"
+
+
 @dataclass(frozen=True, eq=False)
 class ActuatorBank:
     """Heating elements on the underside with precomputed per-cell weights."""
@@ -111,7 +117,12 @@ class ActuatorBank:
 
     @classmethod
     def build(cls, grid: Grid, spec: DeviceSpec) -> "ActuatorBank":
-        return cls(_weight_table(grid, spec, "actuator"))
+        table = _weight_table(grid, spec, "actuator")
+        dead = ~table.any(axis=1)
+        if dead.any():
+            raise ValueError(f"{_zeroing_key(spec)}: actuator {int(np.argmax(dead))} "
+                             "has zero weight at every cell center")
+        return cls(table)
 
     @property
     def count(self) -> int:
@@ -142,7 +153,8 @@ class SensorBank:
         mass = table.sum(axis=1) * grid.dx1  # midpoint quadrature of int g dx
         if not (mass > 0).all():
             bad = int(np.argmin(mass))
-            raise ValueError(f"m: sensor {bad} has zero quadrature mass")
+            raise ValueError(f"{_zeroing_key(spec)}: sensor {bad} has zero "
+                             "quadrature mass")
         return cls(table, mass)
 
     @property

@@ -9,6 +9,7 @@ use LF line endings and UTF-8.
 from __future__ import annotations
 
 import shutil
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -39,12 +40,17 @@ def _write_lines(file, fields) -> None:
     file.write(str(lines[lines != 0], "ascii"))
 
 
+@cache
+def _coordinate_columns(grid: Grid):
+    """x1 and x2 cell-centre text, formatted once per grid, shaped to broadcast."""
+    return repr_block(grid.x1_centers())[None], repr_block(grid.x2_centers())[:, None]
+
+
 def write_field_csv(field_values, grid: Grid, file) -> None:
     """Field table "x1,x2,theta", one row per cell in flat-index order,
     written into an open text file one block of whole grid rows at a time."""
     rows = np.asarray(field_values, dtype=float).reshape(grid.K, grid.J)
-    x1 = repr_block(grid.x1_centers())[None]
-    x2 = repr_block(grid.x2_centers())[:, None]
+    x1, x2 = _coordinate_columns(grid)
     file.write("x1,x2,theta\n")
     step = max(1, _BLOCK_VALUES // grid.J)
     for k in range(0, grid.K, step):
@@ -82,30 +88,22 @@ def write_signals_csv(result: SimulationResult, file) -> None:
         _write_lines(file, [chars[:, n] for n in range(len(header))])
 
 
-def render_heatmap(field_values, grid: Grid, theta_lo: float | None = None,
-                   theta_hi: float | None = None) -> bytes:
+def render_heatmap(field_values, grid: Grid) -> bytes:
     """Binary PGM (P5, maxval 255) of the field, J columns by K rows.
 
     The topside row k = K-1 comes first so the image sits the way the
-    plate does.  Pixels map theta linearly from [theta_lo, theta_hi] onto
-    0..255, clamped; omitted bounds use the field's min/max, and a
-    degenerate auto range (uniform field) renders mid-gray.  A field with
-    a non-finite value has no image and raises ValueError.
+    plate does.  Pixels map theta linearly from the field's min/max onto
+    0..255, and a uniform field renders mid-gray.  A field with a
+    non-finite value has no image and raises ValueError.
     """
     field_values = np.asarray(field_values, dtype=float)
     if not np.isfinite(field_values).all():
         raise ValueError("cannot render a field with non-finite values")
     image = field_values.reshape(grid.K, grid.J)[::-1]
-    if theta_lo is None and theta_hi is None:
-        theta_lo = float(image.min())
-        theta_hi = float(image.max())
-    elif theta_lo is None or theta_hi is None or theta_lo >= theta_hi:
-        raise ValueError("need theta_lo < theta_hi, or neither for auto-range")
-    if theta_hi > theta_lo:
-        scaled = np.clip((image - theta_lo) / (theta_hi - theta_lo), 0.0, 1.0)
-        pixels = np.rint(255 * scaled).astype(np.uint8)
+    lo, hi = image.min(), image.max()
+    if hi > lo:
+        pixels = np.rint(255 * ((image - lo) / (hi - lo))).astype(np.uint8)
     else:
-        # uniform field under auto-range
         pixels = np.full_like(image, 128, dtype=np.uint8)
     header = f"P5\n{grid.J} {grid.K}\n255\n".encode("ascii")
     return header + pixels.tobytes()
@@ -138,8 +136,7 @@ def write_run_outputs(result: SimulationResult, out_dir, *,
             written.append(shutil.copyfile(out / "final_field.csv", out / name))
         else:
             write_csv(name, write_field_csv, snapshot, grid)
-    if len(result.signal_times):
-        write_csv("signals.csv", write_signals_csv, result)
+    write_csv("signals.csv", write_signals_csv, result)
     if render and not result.diverged:
         path = out / "heatmap.pgm"
         path.write_bytes(render_heatmap(result.final_field, grid))

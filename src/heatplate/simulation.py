@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import ControllerConfig, control_error, proportional_law
+from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank, DeviceSpec, SensorBank
 from .grid import Grid, PlateGeometry, stability_limit
 from .material import SurfaceExchange, ThermalMaterial
@@ -182,14 +182,21 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     snapshots: list[tuple[float, np.ndarray]] = []
 
     divergence_step = divergence_cell = None
-    for step in range(n_steps):
+    for step in range(n_steps + 1):
+        # The closing sample, step n_steps, logs the final field's readings
+        # and the inputs they would command, then leaves before stepping.
         y = sensors.measure(theta, grid)
-        u = proportional_law(cfg.controller, control_error(cfg.controller, y))
-        if step % cfg.signal_stride == 0:
+        u = proportional_law(cfg.controller, cfg.controller.y_ref - y)
+        closing = step == n_steps
+        if closing or step % cfg.signal_stride == 0:
             inputs[logged], outputs[logged] = u, y
             logged += 1
-        if step % cfg.snapshot_stride == 0:
-            snapshots.append((step * cfg.dt, theta.copy()))
+        # The closing snapshot is final_field itself, so that
+        # write_run_outputs can copy its file instead of formatting it.
+        if closing or step % cfg.snapshot_stride == 0:
+            snapshots.append((step * cfg.dt, theta if closing else theta.copy()))
+        if closing:
+            break
 
         fluxes = boundary_fluxes(theta, grid, exchange, actuators, u)
         rhs = assemble_rhs(theta, grid, material, fluxes)
@@ -201,14 +208,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
             divergence_step = step
             divergence_cell = worst_invalid_cell(theta, material.theta_cap)
             break
-    else:
-        # Closing sample: the readings and the inputs the controller would
-        # command from the final field.
-        y = sensors.measure(theta, grid)
-        u = proportional_law(cfg.controller, control_error(cfg.controller, y))
-        inputs[logged], outputs[logged] = u, y
-        logged += 1
-        snapshots.append((n_steps * cfg.dt, theta))
 
     return SimulationResult(
         config=cfg,
@@ -251,8 +250,6 @@ def scenario_preset(which: int) -> SimulationConfig:
 
 def averaged_signals(result: SimulationResult):
     """Per-time channel means (times, u_mean, y_mean) of the signal log."""
-    if len(result.signal_times) == 0:
-        raise ValueError("empty signal log")
     return (result.signal_times,
             result.inputs.mean(axis=1),
             result.outputs.mean(axis=1))

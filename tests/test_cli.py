@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,10 @@ def test_benchmark_tracer_imports(tmp_path):
     calls = module.summarize(tracer)["calls"]
     for name in ("solver.boundary_fluxes", "solver.assemble_rhs", "solver.euler_step"):
         assert calls[name] == 30, name
-    assert calls["devices.measure"] == 31  # and once more for the closing sample
+    # and once more for the closing sample, which makes no step
+    assert calls["devices.measure"] == 31
+    assert calls["control.proportional_law"] == 31
+    assert "control.control_error" not in calls  # control.law_us times the law alone
 
 
 def test_check_scenario(capsys):
@@ -198,12 +202,21 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["check", "--config", str(path)]) == 2
     assert "sensors.m: sensor 0 has zero quadrature mass" in capsys.readouterr().err
     # a cell size whose square underflows or overflows is a config error
+    # ... and so is a device whose profile is 0 at every cell centre
     for doc, message in (('{"geometry": {"L": 1e-170}}', "geometry.L: cell size"),
                          ('{"geometry": {"H": 1e-170}}', "geometry.H: cell size"),
                          ('{"geometry": {"L": 1e300}, "sensors": {"M": 0}}',
-                          "geometry.L: cell size")):
+                          "geometry.L: cell size"),
+                         ('{"geometry": {"L": 1e150}}',
+                          "sensors.M: sensor 0 has zero quadrature mass"),
+                         ('{"geometry": {"L": 3}, "actuators": {"M": 1e6}}',
+                          "actuators.M: actuator 0 has zero weight"),
+                         ('{"actuators": {"m": 0}}',
+                          "actuators.m: actuator 0 has zero weight")):
         path.write_text(doc)
-        assert main(["check", "--config", str(path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
 

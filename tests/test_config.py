@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,11 @@ class TestValidation:
         ('{"time": {"signal_stride": 0}}', r"time\.signal_stride"),
         ('{"material": {"theta_cap": 0}}', r"material\.theta_cap"),
         ('{"sensors": {"m": 0}}', r"sensors\.m: sensor 0 has zero quadrature mass"),
+        # a bump that underflows to 0 at every cell centre blames M, not m
+        ('{"geometry": {"L": 1e150}}', r"sensors\.M: sensor 0 has zero quadrature mass"),
+        ('{"geometry": {"L": 3}, "actuators": {"M": 1e6}}',
+         r"actuators\.M: actuator 0 has zero weight at every cell center"),
+        ('{"actuators": {"m": 0}}', r"actuators\.m: actuator 0 has zero weight"),
         ('{"grid": {"J": 3}}', r"actuators\.count: actuator 1 .*J = 3"),
         ('{"geometry": {"L": 1e-170}}', r"geometry\.L: cell size"),
         ('{"geometry": {"H": 1e-170}}', r"geometry\.H: cell size"),
@@ -82,8 +88,10 @@ class TestValidation:
         ('{"grid": {"J": 1%s}}' % ("0" * 400), r"grid\.J: must be finite"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
-        with pytest.raises(ConfigError, match=path):
-            load_config(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match=path):
+                load_config(doc)
 
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, values in

@@ -1,28 +1,12 @@
 import numpy as np
 import pytest
 
-from heatplate import ControllerConfig, control_error, proportional_law
+from heatplate import ControllerConfig, proportional_law
 
 
 @pytest.fixture
 def ctrl():
     return ControllerConfig(kp=(1e4,) * 5, y_ref=400.0)
-
-
-class TestControlError:
-    def test_at_reference(self, ctrl):
-        assert (control_error(ctrl, np.full(5, 400.0)) == 0.0).all()
-
-    def test_cold_start(self, ctrl):
-        assert (control_error(ctrl, np.full(5, 300.0)) == 100.0).all()
-
-    def test_componentwise(self, ctrl):
-        y = np.array([390.0, 405.0, 400.0, 398.0, 401.0])
-        assert control_error(ctrl, y) == pytest.approx([10.0, -5.0, 0.0, 2.0, -1.0])
-
-    def test_rejects_wrong_length(self, ctrl):
-        with pytest.raises(ValueError):
-            control_error(ctrl, np.zeros(4))
 
 
 class TestProportionalLaw:
@@ -66,6 +50,10 @@ class TestProportionalLaw:
         changed = proportional_law(ctrl, perturbed)
         mask = np.arange(5) != 2
         assert (changed[mask] == base[mask]).all()
+
+    def test_rejects_wrong_length(self, ctrl):
+        with pytest.raises(ValueError, match="expected 5 errors"):
+            proportional_law(ctrl, np.zeros(4))
 
 
 class TestControllerConfig:

@@ -135,7 +135,7 @@ class TestHeatmap:
         return head, dims, maxval, np.frombuffer(pixels, dtype=np.uint8)
 
     def test_format_and_dimensions(self, grid):
-        blob = render_heatmap(np.full(grid.n_cells, 300.0), grid, 250.0, 350.0)
+        blob = render_heatmap(np.full(grid.n_cells, 300.0), grid)
         head, dims, maxval, pixels = self.header_and_pixels(blob, grid)
         assert head == b"P5"
         assert dims == b"100 40"
@@ -143,31 +143,27 @@ class TestHeatmap:
         assert pixels.size == grid.n_cells
 
     def test_midrange_is_midgray(self, unit_grid):
-        blob = render_heatmap(np.full(4, 300.0), unit_grid, 250.0, 350.0)
+        # 300 K sits halfway between the field's 250 K and 350 K
+        blob = render_heatmap(np.array([300.0, 250.0, 350.0, 300.0]), unit_grid)
         *_, pixels = self.header_and_pixels(blob, unit_grid)
-        assert (pixels == 128).all()
+        assert pixels.reshape(2, 2).tolist() == [[255, 128], [128, 0]]
 
     def test_lower_bound_is_black(self, unit_grid):
-        blob = render_heatmap(np.full(4, 250.0), unit_grid, 250.0, 350.0)
+        blob = render_heatmap(np.array([250.0, 250.0, 250.0, 350.0]), unit_grid)
         *_, pixels = self.header_and_pixels(blob, unit_grid)
-        assert (pixels == 0).all()
-
-    def test_clamping_outside_range(self, unit_grid):
-        blob = render_heatmap(np.array([0.0, 1000.0, 0.0, 1000.0]),
-                              unit_grid, 250.0, 350.0)
-        *_, pixels = self.header_and_pixels(blob, unit_grid)
-        assert set(pixels) == {0, 255}
+        assert pixels.tolist() == [0, 255, 0, 0]
 
     def test_column_extremes_and_row_order(self, unit_grid):
-        # columns hold 300/400; the topside row is written first
+        # columns hold the field's 300/400 extremes; the topside row is
+        # written first
         field = np.array([300.0, 400.0, 300.0, 400.0])
-        blob = render_heatmap(field, unit_grid, 300.0, 400.0)
+        blob = render_heatmap(field, unit_grid)
         *_, pixels = self.header_and_pixels(blob, unit_grid)
         assert pixels.reshape(2, 2).tolist() == [[0, 255], [0, 255]]
         # make the topside row distinct to pin the order
         field = np.array([300.0, 300.0, 400.0, 400.0])
         *_, pixels = self.header_and_pixels(
-            render_heatmap(field, unit_grid, 300.0, 400.0), unit_grid)
+            render_heatmap(field, unit_grid), unit_grid)
         assert pixels.reshape(2, 2).tolist() == [[255, 255], [0, 0]]
 
     def test_auto_range_uses_field_extremes(self, unit_grid):
@@ -181,15 +177,10 @@ class TestHeatmap:
             render_heatmap(np.full(4, 300.0), unit_grid), unit_grid)
         assert (pixels == 128).all()
 
-    def test_rejects_inverted_bounds(self, unit_grid):
-        with pytest.raises(ValueError):
-            render_heatmap(np.full(4, 300.0), unit_grid, 350.0, 350.0)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("bounds", [(), (250.0, 350.0)])
-    def test_rejects_non_finite_field(self, unit_grid, bad, bounds):
+    def test_rejects_non_finite_field(self, unit_grid, bad):
         with pytest.raises(ValueError, match="non-finite"):
-            render_heatmap(np.array([300.0, bad, 310.0, 320.0]), unit_grid, *bounds)
+            render_heatmap(np.array([300.0, bad, 310.0, 320.0]), unit_grid)
 
 
 class TestRunOutputs:

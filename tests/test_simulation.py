@@ -101,6 +101,12 @@ class TestRunSimulation:
         assert [t for t, _ in result.snapshots] == pytest.approx(
             [0.0, 0.025, 0.05, 0.075, 0.1])
         assert (result.snapshots[-1][1] == result.final_field).all()
+        # a stride that does not divide the step count still ends on the
+        # closing snapshot
+        result = run_simulation(short_config(t_final=0.1, snapshot_stride=30))
+        assert [t for t, _ in result.snapshots] == pytest.approx(
+            [0.0, 0.03, 0.06, 0.09, 0.1])
+        assert result.snapshots[-1][1] is result.final_field
 
     def test_monotone_logged_times(self):
         result = run_simulation(short_config(t_final=0.1))
