@@ -1,7 +1,8 @@
 """Finite-volume simulator for a 2D heating plate with distributed heaters,
 weighted topside sensors and closed-loop proportional control."""
 
-from .config import ConfigError, dump_config, load_config, parse_config
+from .config import (ConfigError, dump_config, load_config, parse_config,
+                     scenario_preset)
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank, DeviceSpec, SensorBank
 from .grid import Grid, PlateGeometry, stability_limit
@@ -10,8 +11,7 @@ from .output import (read_field_csv, render_heatmap, write_field_csv,
                      write_run_outputs, write_signals_csv)
 from .simulation import (InitialCondition, SimulationConfig, SimulationResult,
                          TopsideStatistics, averaged_signals, build_banks,
-                         initial_field, run_simulation, scenario_preset,
-                         topside_statistics)
+                         initial_field, run_simulation, topside_statistics)
 from .solver import (BoundaryFluxes, assemble_rhs, boundary_fluxes,
                      step_forward_euler, weighted_rhs_sum, worst_invalid_cell)
 

@@ -11,12 +11,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import (ConfigError, _decode_document, config_to_document,
+from .config import (ConfigError, _decode_document, _scenario_document,
                      parse_config)
 from .grid import stability_limit
 from .output import write_run_outputs
-from .simulation import (averaged_signals, run_simulation, scenario_preset,
-                         topside_statistics)
+from .simulation import averaged_signals, run_simulation, topside_statistics
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -65,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> dict:
     if args.scenario is not None:
-        return config_to_document(scenario_preset(args.scenario))
+        return _scenario_document(args.scenario)
     try:
         text = args.config.read_text(encoding="utf-8")
     except OSError as exc:
@@ -112,11 +111,11 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     cfg = parse_config(_load(args))
     limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
-    verdict = "OK" if cfg.dt <= limit else "EXCEEDS the advisory limit"
+    verdict = "is OK" if cfg.dt <= limit else "EXCEEDS the advisory limit"
     print("config OK: "
           f"grid {cfg.grid.J}x{cfg.grid.K}, {cfg.n_steps()} steps of dt = {cfg.dt} s")
     print(f"explicit stability advisory at {cfg.initial.base} K: "
-          f"dt <= {limit:.6e} s; configured dt = {cfg.dt} s is {verdict}")
+          f"dt <= {limit:.6e} s; configured dt = {cfg.dt} s {verdict}")
     return 0
 
 
@@ -138,6 +137,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # ConfigError names the document path of the rejected value
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("config error: the configuration is too large to allocate",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -42,25 +42,13 @@ class BoundaryPartition:
 class Characterization:
     """Weight profile m * exp(-|M*(x - center)|^nu) on a device's interval.
 
-    m is the peak magnitude in [0, 1], M a shape scale in 1/m, nu the
-    exponent.  M = 0 with nu > 0 gives the flat indicator profile; the
-    combination nu = 0 and M = 0 is rejected because 0**0 is ambiguous.
+    Built only from a checked DeviceSpec, which holds the parameter rules.
     """
 
     m: float
     M: float
     nu: float
     center: float
-
-    def __post_init__(self):
-        if not 0 <= self.m <= 1:
-            raise ValueError(f"m: must be in [0, 1], got {self.m}")
-        if self.M < 0:
-            raise ValueError(f"M: must be >= 0, got {self.M}")
-        if self.nu < 0:
-            raise ValueError(f"nu: must be >= 0, got {self.nu}")
-        if self.nu == 0 and self.M == 0:
-            raise ValueError("nu: must be > 0 when M = 0 (0**0 is ambiguous)")
 
     def value(self, partition: BoundaryPartition, x):
         """Profile value at x: the bump inside the partition, 0 outside."""
@@ -75,7 +63,10 @@ class DeviceSpec:
     """Count plus shared profile parameters for one device bank.
 
     Devices split the boundary into equal intervals, each profile centered
-    on its interval midpoint.
+    on its interval midpoint.  m is the peak magnitude in [0, 1], M a shape
+    scale in 1/m, nu the exponent.  M = 0 with nu > 0 gives the flat
+    indicator profile; nu = 0 with M = 0 is rejected because 0**0 is
+    ambiguous.
     """
 
     count: int
@@ -86,11 +77,22 @@ class DeviceSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count: must be >= 1, got {self.count}")
-        Characterization(self.m, self.M, self.nu, 0.0)  # checks m, M and nu
+        if not 0 <= self.m <= 1:
+            raise ValueError(f"m: must be in [0, 1], got {self.m}")
+        if self.M < 0:
+            raise ValueError(f"M: must be >= 0, got {self.M}")
+        if self.nu < 0:
+            raise ValueError(f"nu: must be >= 0, got {self.nu}")
+        if self.nu == 0 and self.M == 0:
+            raise ValueError("nu: must be > 0 when M = 0 (0**0 is ambiguous)")
 
 
 def _weight_table(grid: Grid, spec: DeviceSpec, kind: str) -> np.ndarray:
-    """(count, J) profile values of the spec's devices at the cell centers."""
+    """(count, J) profile values of the spec's devices at the cell centers.
+
+    A device with no positive weight is blamed on count when its interval
+    holds no center, else on m if 0, else on M (its bump underflows).
+    """
     edges = np.linspace(0.0, grid.geometry.length, spec.count + 1)
     x = grid.x1_centers()
     table = np.empty((spec.count, grid.J))
@@ -98,15 +100,13 @@ def _weight_table(grid: Grid, spec: DeviceSpec, kind: str) -> np.ndarray:
         part = BoundaryPartition(edges[n], edges[n + 1])
         char = Characterization(spec.m, spec.M, spec.nu, part.midpoint)
         table[n] = char.value(part, x)
-        if not part.contains(x).any():
-            raise ValueError(f"count: {kind} {n} of {spec.count} covers no "
-                             f"cell center on J = {grid.J} columns")
+        if not table[n].any():
+            if not part.contains(x).any():
+                raise ValueError(f"count: {kind} {n} of {spec.count} covers no "
+                                 f"cell center on J = {grid.J} columns")
+            raise ValueError(f"{'m' if spec.m == 0 else 'M'}: {kind} {n} has "
+                             "zero weight at every cell center")
     return table
-
-
-def _zeroing_key(spec: DeviceSpec) -> str:
-    """Parameter that zeroes all of a device's weights: m if 0, else M (underflow)."""
-    return "m" if spec.m == 0 else "M"
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +117,7 @@ class ActuatorBank:
 
     @classmethod
     def build(cls, grid: Grid, spec: DeviceSpec) -> "ActuatorBank":
-        table = _weight_table(grid, spec, "actuator")
-        dead = ~table.any(axis=1)
-        if dead.any():
-            raise ValueError(f"{_zeroing_key(spec)}: actuator {int(np.argmax(dead))} "
-                             "has zero weight at every cell center")
-        return cls(table)
+        return cls(_weight_table(grid, spec, "actuator"))
 
     @property
     def count(self) -> int:
@@ -151,10 +146,9 @@ class SensorBank:
     def build(cls, grid: Grid, spec: DeviceSpec) -> "SensorBank":
         table = _weight_table(grid, spec, "sensor")
         mass = table.sum(axis=1) * grid.dx1  # midpoint quadrature of int g dx
-        if not (mass > 0).all():
-            bad = int(np.argmin(mass))
-            raise ValueError(f"{_zeroing_key(spec)}: sensor {bad} has zero "
-                             "quadrature mass")
+        if not (mass > 0).all():  # positive weights whose sum * dx1 underflows
+            raise ValueError(f"{'M' if spec.M else 'm'}: sensor {int(np.argmin(mass))} "
+                             "has a quadrature mass that underflows to 0")
         return cls(table, mass)
 
     @property

@@ -36,7 +36,8 @@ class Grid:
     At least two cells per axis are required: the five-point stencil and
     the ghost-cell boundary substitution both need a distinct neighbor.
     The stencil divides by the squared cell sizes, so each square must be
-    a finite nonzero float.
+    a finite nonzero float; one that is not is blamed on the cell count
+    when the length's own square is a finite nonzero float.
     """
 
     geometry: PlateGeometry
@@ -48,9 +49,11 @@ class Grid:
             raise ValueError(f"J: must be >= 2, got {self.J}")
         if self.K < 2:
             raise ValueError(f"K: must be >= 2, got {self.K}")
-        for name, dx in (("length", self.dx1), ("height", self.dx2)):
+        for name, count, dx in (("length", "J", self.dx1), ("height", "K", self.dx2)):
             if not 0 < dx * dx < math.inf:
-                raise ValueError(f"geometry.{name}: cell size {dx:g} m has a "
+                size = getattr(self.geometry, name)
+                key = count if 0 < size * size < math.inf else f"geometry.{name}"
+                raise ValueError(f"{key}: cell size {dx:g} m has a "
                                  f"square of {dx * dx:g}, outside (0, inf)")
 
     @property

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank, DeviceSpec, SensorBank
-from .grid import Grid, PlateGeometry, stability_limit
+from .grid import Grid, stability_limit
 from .material import SurfaceExchange, ThermalMaterial
 from .solver import (assemble_rhs, boundary_fluxes, step_forward_euler,
                      worst_invalid_cell)
@@ -45,7 +44,7 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything needed to reproduce one closed-loop run."""
+    """All that one closed-loop run needs; making one builds its device banks."""
 
     grid: Grid
     material: ThermalMaterial
@@ -58,6 +57,8 @@ class SimulationConfig:
     t_final: float
     snapshot_stride: int = 1000
     signal_stride: int = 1
+    banks: tuple[ActuatorBank, SensorBank] = field(init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -84,15 +85,17 @@ class SimulationConfig:
                 "sensors.count: channel pairing needs equal counts, got "
                 f"{self.sensors.count} sensors and {self.actuators.count} actuators"
             )
+        cap, ic = self.material.theta_cap, self.initial
+        if ic.base + abs(ic.a0) > cap:
+            key = "base" if ic.base > cap else "a0"
+            raise ValueError(f"initial.{key}: base + |a0| = {ic.base + abs(ic.a0)} "
+                             f"must be <= material.theta_cap = {cap}")
+        # Looked up in the module at call time, where tracers wrap it.
+        object.__setattr__(self, "banks", build_banks(self))
 
     def n_steps(self) -> int:
         """Number of Euler steps; t_final is a whole multiple of dt."""
         return round(self.t_final / self.dt)
-
-    @cached_property
-    def banks(self) -> tuple[ActuatorBank, SensorBank]:
-        """Both device banks, built by build_banks on first use."""
-        return build_banks(self)
 
 
 @dataclass(eq=False)
@@ -219,32 +222,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         diverged=divergence_step is not None,
         divergence_step=divergence_step,
         divergence_cell=divergence_cell,
-    )
-
-
-def scenario_preset(which: int) -> SimulationConfig:
-    """The two reference scenarios: 1 = nominal actuators, 2 = realistic.
-
-    Both share the 0.30 m x 0.01 m plate on a 100 x 40 grid, steel-like
-    material data, five heater/sensor pairs on uniform partitions, gains
-    of 1e4 toward 400 K, dt = 1e-3 s and a 10 s horizon.  They differ only
-    in the actuators' shape scale: 0 (flat) versus 30 1/m (bump).
-    """
-    if which not in (1, 2):
-        raise ValueError(f"scenario must be 1 or 2, got {which}")
-    return SimulationConfig(
-        grid=Grid(PlateGeometry(length=0.30, height=0.01), J=100, K=40),
-        material=ThermalMaterial(rho=7800.0, c0=330.0, c1=0.4,
-                                 lambda0=10.0, lambda1=0.1),
-        exchange=SurfaceExchange(h=10.0, emissivity=0.6, theta_amb=300.0),
-        actuators=DeviceSpec(count=5, m=1.0, M=0.0 if which == 1 else 30.0, nu=4.0),
-        sensors=DeviceSpec(count=5, m=1.0, M=10.0, nu=4.0),
-        controller=ControllerConfig(kp=(1e4,) * 5, y_ref=400.0),
-        initial=InitialCondition(base=300.0, a0=3.0, a1=10.0, a2=5.0),
-        dt=1e-3,
-        t_final=10.0,
-        snapshot_stride=1000,
-        signal_stride=1,
     )
 
 

@@ -81,6 +81,15 @@ def test_check_scenario(capsys):
     out = capsys.readouterr().out
     assert "0.001" in out
     assert "advisory" in out
+    assert out.endswith("configured dt = 0.001 s is OK\n")
+
+
+def test_check_reports_a_step_above_the_advisory(tmp_path, capsys):
+    path = tmp_path / "fast.json"
+    path.write_text('{"time": {"dt": 0.05}}')
+    assert main(["check", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "configured dt = 0.05 s EXCEEDS the advisory limit\n")
 
 
 def test_check_config(tiny_config_path, capsys):
@@ -200,7 +209,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     # a bank that does not fit is caught by check, not only by run
     path.write_text('{"sensors": {"m": 0}}')
     assert main(["check", "--config", str(path)]) == 2
-    assert "sensors.m: sensor 0 has zero quadrature mass" in capsys.readouterr().err
+    assert ("sensors.m: sensor 0 has zero weight at every cell center"
+            in capsys.readouterr().err)
     # a cell size whose square underflows or overflows is a config error
     # ... and so is a device whose profile is 0 at every cell centre
     for doc, message in (('{"geometry": {"L": 1e-170}}', "geometry.L: cell size"),
@@ -208,16 +218,37 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                          ('{"geometry": {"L": 1e300}, "sensors": {"M": 0}}',
                           "geometry.L: cell size"),
                          ('{"geometry": {"L": 1e150}}',
-                          "sensors.M: sensor 0 has zero quadrature mass"),
+                          "sensors.M: sensor 0 has zero weight at every cell center"),
                          ('{"geometry": {"L": 3}, "actuators": {"M": 1e6}}',
                           "actuators.M: actuator 0 has zero weight"),
                          ('{"actuators": {"m": 0}}',
-                          "actuators.m: actuator 0 has zero weight")):
+                          "actuators.m: actuator 0 has zero weight"),
+                         ('{"initial": {"base": 3100, "a0": 0}}', "initial.base: "),
+                         ('{"initial": {"base": 2999, "a0": 3}}', "initial.a0: ")):
         path.write_text(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["check", "--config", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+# Sizes above any 64-bit address space, which fail before memory is touched.
+HUGE = 10 ** 17
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("check", {"grid": {"J": HUGE}}),
+    ("check", {"actuators": {"count": HUGE}, "sensors": {"count": HUGE}}),
+    ("run", {"grid": {"K": HUGE}}),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # run's stability advisory
+def test_size_too_large_to_allocate_exits_2(command, doc, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, "--config", str(path), *out]) == 2
+    assert ("config error: the configuration is too large to allocate"
+            in capsys.readouterr().err)
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

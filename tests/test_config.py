@@ -75,9 +75,11 @@ class TestValidation:
         ('{"time": {"t_final": -1}}', r"time\.t_final"),
         ('{"time": {"signal_stride": 0}}', r"time\.signal_stride"),
         ('{"material": {"theta_cap": 0}}', r"material\.theta_cap"),
-        ('{"sensors": {"m": 0}}', r"sensors\.m: sensor 0 has zero quadrature mass"),
+        ('{"sensors": {"m": 0}}',
+         r"sensors\.m: sensor 0 has zero weight at every cell center"),
         # a bump that underflows to 0 at every cell centre blames M, not m
-        ('{"geometry": {"L": 1e150}}', r"sensors\.M: sensor 0 has zero quadrature mass"),
+        ('{"geometry": {"L": 1e150}}',
+         r"sensors\.M: sensor 0 has zero weight at every cell center"),
         ('{"geometry": {"L": 3}, "actuators": {"M": 1e6}}',
          r"actuators\.M: actuator 0 has zero weight at every cell center"),
         ('{"actuators": {"m": 0}}', r"actuators\.m: actuator 0 has zero weight"),
@@ -85,6 +87,13 @@ class TestValidation:
         ('{"geometry": {"L": 1e-170}}', r"geometry\.L: cell size"),
         ('{"geometry": {"H": 1e-170}}', r"geometry\.H: cell size"),
         ('{"geometry": {"L": 1e300}, "sensors": {"M": 0}}', r"geometry\.L: cell size"),
+        # a cell count too large for the length's square is blamed on the count
+        ('{"grid": {"J": 1e300}}', r"grid\.J: cell size 3e-301 m"),
+        ('{"grid": {"K": 1e300}}', r"grid\.K: cell size 1e-302 m"),
+        # the initial field must start inside [0, theta_cap]
+        ('{"initial": {"base": 3100, "a0": 0}}',
+         r"initial\.base: base \+ \|a0\| = 3100"),
+        ('{"initial": {"base": 2999, "a0": 3}}', r"initial\.a0: base \+ \|a0\| = 3002"),
         ('{"grid": {"J": 1%s}}' % ("0" * 400), r"grid\.J: must be finite"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
@@ -114,6 +123,10 @@ class TestValidation:
     def test_initial_dip_below_zero(self):
         with pytest.raises(ConfigError, match="initial"):
             load_config('{"initial": {"base": 1.0, "a0": 3.0}}')
+
+    def test_initial_peak_may_reach_theta_cap(self):
+        cfg = load_config('{"initial": {"base": 2997, "a0": -3}}')
+        assert cfg.initial.base + abs(cfg.initial.a0) == cfg.material.theta_cap
 
     def test_non_object_document(self):
         with pytest.raises(ConfigError, match="object"):

@@ -60,16 +60,18 @@ class TestCharacterization:
         assert part.contains(0.06)
         assert not part.contains(0.12)
 
+    # The profile's parameter rules live in DeviceSpec, which every profile
+    # is built from; each case breaks one rule.
     @pytest.mark.parametrize("kwargs", [
-        dict(m=1.2, M=0.0, nu=4.0, center=0.0),
-        dict(m=-0.1, M=0.0, nu=4.0, center=0.0),
-        dict(m=1.0, M=-1.0, nu=4.0, center=0.0),
-        dict(m=1.0, M=10.0, nu=-1.0, center=0.0),
-        dict(m=1.0, M=0.0, nu=0.0, center=0.0),  # 0**0 ambiguity
+        dict(m=1.2, M=0.0, nu=4.0),
+        dict(m=-0.1, M=0.0, nu=4.0),
+        dict(m=1.0, M=-1.0, nu=4.0),
+        dict(m=1.0, M=10.0, nu=-1.0),
+        dict(m=1.0, M=0.0, nu=0.0),  # 0**0 ambiguity
     ])
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
-            Characterization(**kwargs)
+        with pytest.raises(ValueError, match=r"^(m|M|nu): must be"):
+            DeviceSpec(5, **kwargs)
 
 
 class TestActuatorBank:
@@ -121,10 +123,12 @@ class TestActuatorBank:
         # flat bank's columns each sum to one; with count <= J every
         # interval is at least a cell wide and holds a center, and with
         # count > J some interval must hold none.  A cell width whose square
-        # is not a finite nonzero float makes no grid.
+        # is not a finite nonzero float makes no grid: the error names J
+        # when the length's own square is finite and nonzero, else the length.
         dx = length / J
         if not 0 < dx * dx < math.inf:
-            with pytest.raises(ValueError, match="geometry.length: cell size"):
+            key = "J" if 0 < length * length < math.inf else "geometry.length"
+            with pytest.raises(ValueError, match=f"^{key}: cell size"):
                 Grid(PlateGeometry(length, 0.01), J=J, K=2)
             return
         g = Grid(PlateGeometry(length, 0.01), J=J, K=2)
@@ -182,8 +186,15 @@ class TestSensorBank:
         assert bank.mass == pytest.approx([0.30], rel=1e-12)
 
     def test_rejects_zero_mass(self, grid):
-        with pytest.raises(ValueError, match="mass"):
+        with pytest.raises(ValueError, match="m: sensor 0 has zero weight"):
             SensorBank.build(grid, DeviceSpec(5, m=0.0, M=10.0, nu=4.0))
+
+    def test_rejects_mass_that_underflows(self, grid):
+        # every weight is the smallest subnormal, and 100 of them times
+        # dx1 = 3e-3 round to 0
+        with pytest.raises(ValueError, match="m: sensor 0 has a quadrature mass "
+                                             "that underflows to 0"):
+            SensorBank.build(grid, DeviceSpec(1, m=5e-324, M=0.0, nu=4.0))
 
 
 class TestMeasure:

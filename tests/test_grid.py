@@ -26,6 +26,19 @@ def test_rejects_too_few_cells(J, K):
         Grid(PlateGeometry(0.30, 0.01), J=J, K=K)
 
 
+@pytest.mark.parametrize("L,H,J,K,key", [
+    (0.30, 0.01, 10 ** 300, 2, "J"),
+    (0.30, 0.01, 2, 10 ** 300, "K"),
+    (1e-161, 0.01, 100, 2, "J"),   # the length's square is a nonzero subnormal
+    (1e-170, 0.01, 2, 2, "geometry.length"),
+    (0.30, 1e300, 2, 2, "geometry.height"),
+])
+def test_cell_size_without_a_finite_nonzero_square(L, H, J, K, key):
+    # blamed on the count unless the length's own square is out of range
+    with pytest.raises(ValueError, match=f"^{key}: cell size"):
+        Grid(PlateGeometry(L, H), J=J, K=K)
+
+
 @pytest.mark.parametrize("L,H", [(0.0, 0.01), (0.30, -1.0)])
 def test_rejects_bad_geometry(L, H):
     with pytest.raises(ValueError):

@@ -158,7 +158,8 @@ class TestRunSimulation:
         assert counts == dict.fromkeys(names, cfg.n_steps())
 
     def test_banks_built_once_per_config(self, monkeypatch):
-        # load_config builds the banks to validate them; the run reuses them
+        # making a config builds its banks, which validates them; the run
+        # reuses them
         from heatplate import load_config, simulation
         calls = []
         original = simulation.build_banks
@@ -173,9 +174,25 @@ class TestRunSimulation:
         assert len(calls) == 1
         # a replaced config compares by its fields and builds its own banks
         assert dataclasses.replace(cfg) == cfg
-        wider = dataclasses.replace(cfg, grid=Grid(PlateGeometry(0.30, 0.01), J=40, K=8))
-        assert wider.banks[0].weight_table.shape == (5, 40)
         assert len(calls) == 2
+        wider = dataclasses.replace(cfg, grid=Grid(PlateGeometry(0.30, 0.01), J=40, K=8))
+        assert len(calls) == 3
+        assert wider.banks[0].weight_table.shape == (5, 40)
+        assert len(calls) == 3
+
+    def test_config_checks_its_banks_when_made(self, preset1):
+        # five heater intervals on three columns: interval 1, [0.06, 0.12),
+        # holds no cell center (0.05, 0.15, 0.25)
+        with pytest.raises(ValueError, match="^actuators.count: actuator 1 of 5 "
+                                             "covers no cell center on J = 3"):
+            dataclasses.replace(preset1, grid=Grid(PlateGeometry(0.30, 0.01), J=3, K=8))
+
+    @pytest.mark.parametrize("base,a0,key", [
+        (3100.0, 0.0, "base"), (2999.0, -3.0, "a0"), (3001.0, 3.0, "base"),
+    ])
+    def test_initial_field_must_start_below_theta_cap(self, preset1, base, a0, key):
+        with pytest.raises(ValueError, match=rf"^initial\.{key}: .*theta_cap = 3000"):
+            dataclasses.replace(preset1, initial=InitialCondition(base=base, a0=a0))
 
     def test_insulated_constant_material_preserves_mean(self):
         cfg = short_config(

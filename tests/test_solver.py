@@ -275,6 +275,40 @@ class TestStepForwardEuler:
             assert new.max() <= field.max() + 1e-9
             field = new
 
+    @settings(max_examples=200, deadline=None)
+    @given(J=st.integers(2, 8), K=st.integers(2, 8),
+           length=st.floats(1e-3, 1.0), height=st.floats(1e-3, 1.0),
+           rho=st.floats(1.0, 2e4), c0=st.floats(1.0, 1e3),
+           c_slope=st.floats(-0.99, 2.0),
+           lambda0=st.floats(0.1, 400.0), lambda_slope=st.floats(-0.99, 2.0),
+           bounds=st.lists(st.floats(0.0, 3000.0), min_size=2, max_size=2),
+           fraction=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_maximum_principle_property(self, J, K, length, height, rho, c0, c_slope,
+                                        lambda0, lambda_slope, bounds, fraction, seed):
+        # Unforced and insulated, with any affine material: every face
+        # conductivity is at most lambda_max and every rho*c at least
+        # rho_c_min, both taken at the field's extremes.  A step within
+        # 1/(2*lambda_max/rho_c_min*(1/dx1^2 + 1/dx2^2)) then makes each new
+        # cell a convex combination of old ones, so the field stays within
+        # its old [min, max] up to rounding.
+        cap = 3000.0
+        # slopes scaled so that both laws stay positive on [0, cap]
+        material = ThermalMaterial(rho, c0, c_slope * c0 / cap, lambda0,
+                                   lambda_slope * lambda0 / cap, cap)
+        g = Grid(PlateGeometry(length, height), J=J, K=K)
+        lo, hi = sorted(bounds)
+        field = np.random.default_rng(seed).uniform(lo, hi, g.n_cells)
+        extremes = np.array([field.min(), field.max()])
+        lambda_max = material.thermal_conductivity(extremes).max()
+        rho_c_min = material.volumetric_heat_coefficient(extremes).min()
+        dt = fraction / (2 * lambda_max / rho_c_min * (1 / g.dx1 ** 2 + 1 / g.dx2 ** 2))
+        bank = make_bank(g, count=1)
+        fluxes = boundary_fluxes(field, g, INSULATED, bank, np.zeros(1))
+        new = step_forward_euler(field, assemble_rhs(field, g, material, fluxes), dt)
+        rounding = 64 * np.finfo(float).eps * cap
+        assert new.min() >= field.min() - rounding
+        assert new.max() <= field.max() + rounding
+
     def test_unstable_step_diverges(self, preset1, material, exchange, grid):
         # dt far above the ~2.7e-3 s advisory bound blows up within a few
         # hundred steps
