@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid
+from .grid import MAX_FLOATS, Grid
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class DeviceSpec:
     on its interval midpoint.  m is the peak magnitude in [0, 1], M a shape
     scale in 1/m, nu the exponent.  M = 0 with nu > 0 gives the flat
     indicator profile; nu = 0 with M = 0 is rejected because 0**0 is
-    ambiguous.
+    ambiguous.  A count that no array can hold raises MemoryError.
     """
 
     count: int
@@ -77,6 +77,9 @@ class DeviceSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count: must be >= 1, got {self.count}")
+        if self.count > MAX_FLOATS:
+            raise MemoryError(f"{self.count} devices are more than an array "
+                              f"can hold ({MAX_FLOATS})")
         if not 0 <= self.m <= 1:
             raise ValueError(f"m: must be in [0, 1], got {self.m}")
         if self.M < 0:

@@ -8,11 +8,17 @@ row k = K-1 occupies the last J entries of a field vector.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .material import ThermalMaterial
+
+# The most float64 values one array can hold: numpy indexes its bytes with
+# a signed pointer-sized integer.  A size above this fails before any memory
+# is touched, so it raises MemoryError as an allocation would.
+MAX_FLOATS = sys.maxsize // 8
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,8 @@ class Grid:
     """Uniform J x K cell grid over a plate geometry.
 
     At least two cells per axis are required: the five-point stencil and
-    the ghost-cell boundary substitution both need a distinct neighbor.
+    the ghost-cell boundary substitution both need a distinct neighbor,
+    and a field of J*K cells must fit one array, else MemoryError.
     The stencil divides by the squared cell sizes, so each square must be
     a finite nonzero float; one that is not is blamed on the cell count
     when the length's own square is a finite nonzero float.
@@ -55,6 +62,9 @@ class Grid:
                 key = count if 0 < size * size < math.inf else f"geometry.{name}"
                 raise ValueError(f"{key}: cell size {dx:g} m has a "
                                  f"square of {dx * dx:g}, outside (0, inf)")
+        if self.n_cells > MAX_FLOATS:
+            raise MemoryError(f"a {self.J} x {self.K} grid has more cells "
+                              f"than an array can hold ({MAX_FLOATS})")
 
     @property
     def dx1(self) -> float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 STEFAN_BOLTZMANN = 5.67e-8  # W/(m^2 K^4)
 
 
@@ -56,9 +58,13 @@ class ThermalMaterial:
         """lambda(theta) = lambda0 + lambda1*theta, elementwise over arrays."""
         return self.lambda0 + self.lambda1 * theta
 
-    def volumetric_heat_coefficient(self, theta):
-        """rho * c(theta), the J/(m^3 K) factor in front of dT/dt."""
-        return theta * (self.rho * self.c1) + self.rho * self.c0
+    def volumetric_heat_coefficient(self, theta, out=None):
+        """rho * c(theta), the J/(m^3 K) factor in front of dT/dt.
+
+        Elementwise over arrays, and written into `out` when given.
+        """
+        rho_c = np.multiply(theta, self.rho * self.c1, out=out)
+        return np.add(rho_c, self.rho * self.c0, out=out)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,17 @@ ghost-cell temperature into the interior stencil cancels the boundary-face
 conductivity exactly, so no boundary lambda is evaluated.  The underside
 carries the actuator flux; left, right and topside emit to the ambient.
 Each cell's rate is the flux balance divided by rho*c(theta_cell).
+
+A run steps in place: `assemble_rhs(..., buffers)` and
+`step_forward_euler(..., out=)` write every field-sized result into arrays
+allocated once per run on 64-byte boundaries.  The arithmetic and its order
+are those of a fresh temporary per operation, so the bits are the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +40,63 @@ class BoundaryFluxes:
     top: np.ndarray = field(repr=False)        # (J,)
 
 
+def aligned_empty(n: int, lead: int = 0) -> np.ndarray:
+    """Uninitialized float64 array of n entries whose entry `lead` starts a
+    64-byte cache line.
+
+    malloc aligns to 16 bytes only, and numpy's vector kernels run slower
+    on operands that straddle cache lines: on an AVX-512 Xeon, a
+    64,000-element multiply and add into an output array took 30-31 us at
+    0 mod 64 and 41-43 us at 16 or 48 mod 64.  Reading the address costs
+    about 2 us, so allocate once per run, never per step.
+    """
+    raw = np.empty(n + 8)
+    start = (-(raw.ctypes.data // 8) - lead) % 8
+    return raw[start:start + n]
+
+
+class RhsBuffers:
+    """Scratch arrays of `assemble_rhs` for one grid, reused call after call.
+
+    `potential` (N cells) holds Phi/dx1^2 and then rho*c.  `faces` (N+1)
+    holds one axis's face fluxes at a time: faces[i+1] is the flux into
+    flat cell i from its next neighbor along the axis, i+1 along x1 or i+J
+    along x2, and faces[0] = 0.  `rate` (N) holds the flux balance and then
+    the returned rates.  `potential`, `rate` and faces[1] start 64-byte
+    cache lines.  Between calls a caller may swap `potential` for another
+    aligned array of N cells, and overwrite the returned rates.
+    """
+
+    def __init__(self, grid: Grid):
+        N, J = grid.n_cells, grid.J
+        self.grid = grid
+        self.potential = aligned_empty(N)
+        self.faces = aligned_empty(N + 1, lead=1)
+        self.faces[0] = 0.0
+        self.rate = aligned_empty(N)
+        # Views sliced once per run: the x1 faces, and among them the
+        # faces past each row's end (the K-1 row seams and faces[N]); the
+        # x2 faces; each cell's faces below and above in flat order.
+        self.x1_faces = self.faces[1:N]
+        self.row_ends = self.faces[J::J]
+        self.x2_faces = self.faces[1:N - J + 1]
+        self.below, self.above = self.faces[:-1], self.faces[1:]
+        # Cells under and over an x2 face, then each boundary's cells.
+        self.under_x2, self.over_x2 = self.rate[:-J], self.rate[J:]
+        self.left, self.right = self.rate[::J], self.rate[J - 1::J]
+        self.underside, self.top = self.rate[:J], self.rate[-J:]
+
+
+@cache
+def _edge_cells(grid: Grid) -> np.ndarray:
+    """Flat indices of the left column, the right column and the topside row."""
+    rows = np.arange(grid.K) * grid.J
+    cells = np.concatenate((rows, rows + grid.J - 1,
+                            np.arange(rows[-1], rows[-1] + grid.J)))
+    cells.flags.writeable = False
+    return cells
+
+
 def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
                     actuators: ActuatorBank, u) -> BoundaryFluxes:
     """Evaluate all boundary fluxes for the current field and inputs.
@@ -41,62 +104,72 @@ def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
     Emission is evaluated at the boundary cell's center temperature.  The
     underside receives the induced actuator flux only.
     """
-    T = np.asarray(field_values).reshape(grid.K, grid.J)
+    theta = np.asarray(field_values).reshape(grid.n_cells)
     phi_in = actuators.induced_flux(u)
-    edges = np.concatenate((T[:, 0], T[:, -1], T[-1, :]))
-    emitted = exchange.emitted_flux(edges)
+    emitted = exchange.emitted_flux(theta[_edge_cells(grid)])
     K = grid.K
     return BoundaryFluxes(underside=phi_in, left=emitted[:K],
                           right=emitted[K:2 * K], top=emitted[2 * K:])
 
 
 def assemble_rhs(field_values, grid: Grid, material: ThermalMaterial,
-                 fluxes: BoundaryFluxes) -> np.ndarray:
+                 fluxes: BoundaryFluxes,
+                 buffers: RhsBuffers | None = None) -> np.ndarray:
     """Temperature rates dtheta/dt for every cell, K/s, in flat order.
 
     Per cell the flux balance N collects, per axis, (Phi(theta_neighbor) -
     Phi(theta_cell)) / dx^2 over interior faces plus phi/dx over boundary
     faces; corner cells get one boundary term per axis.  The rate is
-    N / (rho*c(theta_cell)).
+    N / (rho*c(theta_cell)).  The work happens in `buffers`, which must be
+    built for `grid`, or in fresh ones when None; the result is
+    `buffers.rate`, overwritten by the next call with the same buffers.
     """
+    if buffers is None:
+        buffers = RhsBuffers(grid)
+    elif buffers.grid is not grid and buffers.grid != grid:
+        raise ValueError("buffers were built for another grid")
     J = grid.J
     theta = np.asarray(field_values).reshape(-1)
-    potential = theta * (material.lambda0 / grid.dx1**2
-                         + material.lambda1 / (2 * grid.dx1**2) * theta)
+    potential, rate = buffers.potential, buffers.rate
+    np.multiply(material.lambda1 / (2 * grid.dx1**2), theta, out=potential)
+    np.add(material.lambda0 / grid.dx1**2, potential, out=potential)
+    np.multiply(theta, potential, out=potential)
 
     # `potential` is Phi/dx1^2, so only the x2 fluxes need scaling.  Faces
     # join flat neighbors, offset 1 along x1 and J along x2, so every pass
     # is contiguous; the offset-1 pairs across the K-1 row seams are not
-    # faces and get zero flux.  Each face flux enters both cells with
-    # opposite signs, so the interior sum telescopes exactly.  The early
-    # dels let the allocator reuse the same blocks every step; keeping the
-    # temporaries alive faults in ~200 fresh pages per 400x160 step.
-    flux = potential[1:] - potential[:-1]
-    flux[J - 1::J] = 0.0
-    balance = np.append(flux, 0.0)
-    balance[1:] -= flux
-    del flux
+    # faces and get zero flux, as does faces[N] past the last cell.  Each
+    # face flux enters both cells with opposite signs, so the interior sum
+    # telescopes exactly.  Subtracting a zero face changes no bit of the
+    # other (f - 0.0 == f for every float, -0.0 included).
+    np.subtract(potential[1:], potential[:-1], out=buffers.x1_faces)
+    buffers.row_ends.fill(0.0)
+    np.subtract(buffers.above, buffers.below, out=rate)
 
-    flux = potential[J:] - potential[:-J]
+    flux = buffers.x2_faces
+    np.subtract(potential[J:], potential[:-J], out=flux)
     flux *= grid.dx1**2 / grid.dx2**2
-    balance[:-J] += flux
-    balance[J:] -= flux
-    del flux, potential
+    buffers.under_x2 += flux
+    buffers.over_x2 -= flux
 
-    balance[::J] += fluxes.left / grid.dx1
-    balance[J - 1::J] += fluxes.right / grid.dx1
-    balance[:J] += fluxes.underside / grid.dx2
-    balance[-J:] += fluxes.top / grid.dx2
+    buffers.left += fluxes.left / grid.dx1
+    buffers.right += fluxes.right / grid.dx1
+    buffers.underside += fluxes.underside / grid.dx2
+    buffers.top += fluxes.top / grid.dx2
 
-    balance /= material.volumetric_heat_coefficient(theta)
-    return balance
+    rate /= material.volumetric_heat_coefficient(theta, out=potential)
+    return rate
 
 
-def step_forward_euler(field_values, rhs, dt: float) -> np.ndarray:
-    """One explicit Euler step: theta + dt * dtheta/dt, elementwise."""
+def step_forward_euler(field_values, rhs, dt: float, out=None) -> np.ndarray:
+    """One explicit Euler step: theta + dt * dtheta/dt, elementwise.
+
+    Written into `out` when given, which may be `rhs` but not the field.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    return field_values + dt * rhs
+    step = np.multiply(dt, rhs, out=out)
+    return np.add(field_values, step, out=out)
 
 
 def worst_invalid_cell(field_values, theta_cap: float = np.inf) -> int | None:

@@ -232,14 +232,20 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-# Sizes above any 64-bit address space, which fail before memory is touched.
+# Sizes above any 64-bit address space, which fail before memory is touched:
+# HUGE at allocation, BEYOND already when checked against the index range.
 HUGE = 10 ** 17
+BEYOND = 10 ** 22
 
 
 @pytest.mark.parametrize("command,doc", [
     ("check", {"grid": {"J": HUGE}}),
     ("check", {"actuators": {"count": HUGE}, "sensors": {"count": HUGE}}),
     ("run", {"grid": {"K": HUGE}}),
+    ("check", {"grid": {"J": BEYOND}}),
+    ("check", {"actuators": {"count": BEYOND}, "sensors": {"count": BEYOND}}),
+    ("check", {"grid": {"K": BEYOND}}),
+    ("run", {"grid": {"K": BEYOND}}),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # run's stability advisory
 def test_size_too_large_to_allocate_exits_2(command, doc, tmp_path, capsys):
@@ -249,6 +255,18 @@ def test_size_too_large_to_allocate_exits_2(command, doc, tmp_path, capsys):
     assert main([command, "--config", str(path), *out]) == 2
     assert ("config error: the configuration is too large to allocate"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
+    # caught as a config error, before the run's emission computes theta_amb**4
+    path = tmp_path / "hot.json"
+    path.write_text('{"exchange": {"theta_amb": 1e80}, "time": {"t_final": 0.002}}')
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, "--config", str(path), *out]) == 2
+    assert ("config error: exchange.theta_amb: must be <= material.theta_cap"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -63,6 +63,8 @@ class TestValidation:
         ('{"exchange": {"h": -1}}', r"exchange\.h"),
         ('{"exchange": {"sigma": 0}}', r"exchange\.sigma"),
         ('{"exchange": {"theta_amb": -1}}', r"exchange\.theta_amb"),
+        ('{"exchange": {"theta_amb": 1e80}}',
+         r"exchange\.theta_amb: must be <= material\.theta_cap = 3000"),
         ('{"actuators": {"count": 0}}', r"actuators\.count"),
         ('{"actuators": {"m": 1.5}}', r"actuators\.m"),
         ('{"actuators": {"M": -1}}', r"actuators\.M"),

@@ -157,6 +157,32 @@ class TestRunSimulation:
         run_simulation(cfg)
         assert counts == dict.fromkeys(names, cfg.n_steps())
 
+    def test_loop_steps_in_two_aligned_field_buffers(self, monkeypatch):
+        # Each step writes the new field into the array the old field does
+        # not use, and the rates into one fixed array: no field-sized
+        # result is allocated per step.
+        from heatplate import simulation
+        addresses = {"assemble_rhs": [], "step_forward_euler": []}
+
+        def recording(name, original):
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                addresses[name].append(result.ctypes.data)
+                return result
+            return wrapper
+
+        for name in addresses:
+            monkeypatch.setattr(simulation, name, recording(name, getattr(simulation, name)))
+        cfg = short_config(t_final=0.02)
+        result = run_simulation(cfg)
+        rates, fields = addresses["assemble_rhs"], addresses["step_forward_euler"]
+        assert len(rates) == len(fields) == cfg.n_steps()
+        assert set(rates) == {rates[0]} and rates[0] % 64 == 0
+        first, second = fields[:2]
+        assert first != second and first % 64 == 0 and second % 64 == 0
+        assert fields == [first, second] * (cfg.n_steps() // 2)
+        assert result.final_field.ctypes.data == fields[-1]
+
     def test_banks_built_once_per_config(self, monkeypatch):
         # making a config builds its banks, which validates them; the run
         # reuses them

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import arrays
+
 from heatplate import (ActuatorBank, BoundaryFluxes, DeviceSpec, Grid,
                        PlateGeometry, SurfaceExchange, ThermalMaterial,
                        assemble_rhs, boundary_fluxes, step_forward_euler,
                        stability_limit, weighted_rhs_sum, worst_invalid_cell)
+from heatplate.solver import RhsBuffers
 
 INSULATED = SurfaceExchange(h=0.0, emissivity=0.0, theta_amb=300.0)
 
@@ -95,6 +98,29 @@ def face_conductivity_rhs(field, grid, material, fluxes):
     balance[0, :] += fluxes.underside / grid.dx2
     balance[-1, :] += fluxes.top / grid.dx2
     return (balance / material.volumetric_heat_coefficient(T)).reshape(-1)
+
+
+def allocating_rhs(field, grid, material, fluxes):
+    """The kernel with a fresh temporary per operation, in the arithmetic
+    order assemble_rhs keeps: the reference its buffers must match bitwise."""
+    J = grid.J
+    theta = np.asarray(field).reshape(-1)
+    potential = theta * (material.lambda0 / grid.dx1**2
+                         + material.lambda1 / (2 * grid.dx1**2) * theta)
+    flux = potential[1:] - potential[:-1]
+    flux[J - 1::J] = 0.0
+    balance = np.append(flux, 0.0)
+    balance[1:] -= flux
+    flux = potential[J:] - potential[:-J]
+    flux *= grid.dx1**2 / grid.dx2**2
+    balance[:-J] += flux
+    balance[J:] -= flux
+    balance[::J] += fluxes.left / grid.dx1
+    balance[J - 1::J] += fluxes.right / grid.dx1
+    balance[:J] += fluxes.underside / grid.dx2
+    balance[-J:] += fluxes.top / grid.dx2
+    balance /= theta * (material.rho * material.c1) + material.rho * material.c0
+    return balance
 
 
 class TestFaceConductivity:
@@ -235,7 +261,58 @@ class TestAssembleRhs:
         assert flipped == pytest.approx(rhs, abs=1e-12)
 
 
+class TestRhsBuffers:
+    def test_every_buffer_starts_a_cache_line(self, grid):
+        buffers = RhsBuffers(grid)
+        for array in (buffers.potential, buffers.faces[1:], buffers.rate):
+            assert array.ctypes.data % 64 == 0
+        assert buffers.faces[0] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(J=st.integers(2, 9), K=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_reused_buffers_match_fresh_ones_bitwise(self, preset1, J, K, seed):
+        # Two different fields through one buffer object, which starts out
+        # holding NaN wherever the kernel writes: stale values from an
+        # earlier call must not reach the rates.
+        material = preset1.material
+        g = Grid(PlateGeometry(0.3, 0.01), J=J, K=K)
+        rng = np.random.default_rng(seed)
+        buffers = RhsBuffers(g)
+        for array in (buffers.potential, buffers.faces[1:], buffers.rate):
+            array.fill(np.nan)
+        for _ in range(2):
+            field = rng.uniform(250.0, 450.0, g.n_cells)
+            fluxes = random_fluxes(g, rng)
+            want = allocating_rhs(field, g, material, fluxes)
+            fresh = assemble_rhs(field, g, material, fluxes)
+            reused = assemble_rhs(field, g, material, fluxes, buffers)
+            assert reused is buffers.rate
+            assert fresh.tobytes() == want.tobytes()
+            assert reused.tobytes() == want.tobytes()
+
+    def test_rejects_buffers_of_another_grid(self, grid, material):
+        other = Grid(PlateGeometry(0.3, 0.01), J=grid.J + 1, K=grid.K)
+        field = np.full(grid.n_cells, 300.0)
+        with pytest.raises(ValueError, match="another grid"):
+            assemble_rhs(field, grid, material, zero_fluxes(grid), RhsBuffers(other))
+
+
 class TestStepForwardEuler:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), dt=st.floats(1e-9, 1e3))
+    def test_out_matches_fresh_result_bitwise(self, data, n, dt):
+        values = st.floats(-1e6, 1e6)  # signed zeros and subnormals included
+        field = data.draw(arrays(float, n, elements=values))
+        rhs = data.draw(arrays(float, n, elements=values))
+        want = (field + dt * rhs).tobytes()
+        assert step_forward_euler(field, rhs, dt).tobytes() == want
+        out = np.full(n, np.nan)
+        assert step_forward_euler(field, rhs, dt, out=out) is out
+        assert out.tobytes() == want
+        aliased = rhs.copy()
+        assert step_forward_euler(field, aliased, dt, out=aliased) is aliased
+        assert aliased.tobytes() == want
+
     def test_zero_rate_is_identity(self, grid):
         field = np.linspace(300.0, 400.0, grid.n_cells)
         assert (step_forward_euler(field, np.zeros_like(field), 0.5) == field).all()
