@@ -2,21 +2,23 @@
 
 ``repr_block(values)`` returns a uint8 character matrix with one row per
 value: the row with its zero bytes dropped is exactly ``repr(float(v))``.
-The zero bytes are padding.  They may sit inside a row, between the sign,
-the integer digits, the point and the fraction, and the CSV writers drop
-them from a whole block of lines with one boolean compress.
+The zero bytes are padding.  They may sit inside a row, between the
+integer digits, the point and the fraction, and the CSV writers drop them
+from a whole block of lines with one boolean compress.
 
 The digits follow Grisu (Loitsch, PLDI 2010): a fast exact generator that
 hands the rare inputs it cannot decide to a slow exact path, here ``repr``
-itself.  The fast domain is finite 1 <= |x| < 1e15 with a mantissa that is
+itself.  The fast domain is 1 <= x < 1e8 with a mantissa that is
 not a power of two (those have an asymmetric rounding interval); there
-``repr`` prints fixed notation with at most 17 significant digits.
+``repr`` prints fixed notation with at most 17 significant digits.  It
+ends at 1e8, where eight integer digits fill two 4-digit groups; the runs'
+tables hold nothing negative and nothing above about 1.02e6 (heater power).
 
-With E = floor(log10|x|), X = |x|*10**(16-E) lies in [1e16, 1e17), and
+With E = floor(log10 x), X = x*10**(16-E) lies in [1e16, 1e17), and
 Dekker's exact product (Numer. Math. 18, 1971) gives X = p + lo in
 doubles.  The candidates with 15, 16 and 17 digits are the multiples of
 100, 10 and 1 nearest to X.  The first that lies strictly within the
-scaled half-ulp h of |x| is ``repr``: the rounding interval is at most 22
+scaled half-ulp h of x is ``repr``: the rounding interval is at most 22
 wide, so it holds at most one multiple of 100, and any shorter string that
 round-trips is that multiple (DBL_DIG = 15).  Rounding ties, distances
 within 1e-9*h of h and results that leave [1e16, 1e17) go to ``repr``.
@@ -37,7 +39,7 @@ _STEPS = np.array([[100.0], [10.0], [1.0]])  # 15-, 16- and 17-digit candidates
 def _cell_table() -> np.ndarray:
     """Four-byte text cells as uint32: each 4-digit group in four styles
     (all digits; leading zeros blank; trailing zeros blank; trailing zeros
-    blank but the first digit kept), then a point and a minus sign."""
+    blank but the first digit kept), then a point."""
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1)
     after_lead = digits > 0   # row c: some digit 0..c is nonzero
     before_trail = digits > 0  # row c: some digit c..3 is nonzero
@@ -48,23 +50,21 @@ def _cell_table() -> np.ndarray:
     trail = full * before_trail
     keep = trail.copy()
     keep[0] = full[0]
-    marks = np.zeros((4, 2), np.uint8)
-    marks[0] = [ord("."), ord("-")]
-    cells = np.concatenate([full, full * after_lead, trail, keep, marks], axis=1)
+    point = np.array([[ord(".")], [0], [0], [0]], np.uint8)
+    cells = np.concatenate([full, full * after_lead, trail, keep, point], axis=1)
     return np.ascontiguousarray(cells.T).view(np.uint32).ravel()
 
 
 _CELLS = _cell_table()
 _LEAD, _TRAIL, _KEEP = 10_000, 20_000, 30_000  # style offsets; all digits is 0
-_BLANK, _POINT, _MINUS = _LEAD, 40_000, 40_001  # _LEAD + 0 is four blanks
+_BLANK, _POINT = _LEAD, 40_000  # _LEAD + 0 is four blanks
 
 
 def repr_block(values) -> np.ndarray:
     """Character matrix of repr(float(v)) for each of values, one row each."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    a = np.abs(v)
-    fast = (a >= 1.0) & (a < 1e15)
-    a[~fast] = 1.5  # any value of the domain; those rows are replaced below
+    fast = (v >= 1.0) & (v < 1e8)
+    a = np.where(fast, v, 1.5)  # in the domain; those rows are replaced below
     e10 = np.floor(np.log10(a))  # may be one off; _shortest catches that
     hi, low, decided = _shortest(a, e10)
     fast &= decided
@@ -72,25 +72,20 @@ def repr_block(values) -> np.ndarray:
     quads = _fixed_point_quads(hi, low, e10)
     del a, hi, low, e10
 
-    # One index per 4-byte cell, position-major: [sign] integer quads,
-    # point, fraction quads.  Quads blank in every row are left out.
+    # One index per 4-byte cell, position-major: integer quads, point,
+    # fraction quads.  Quads blank in every row are left out.
     zero = quads == 0.0
-    int_blank = zero[:3]      # row c: quads 0..c are zero
-    frac_blank = zero[:4:-1]  # row c: quads 7-c..7 are zero
+    frac_blank = zero[:2:-1]  # row c: quads 5-c..5 are zero
     for c in (1, 2):
-        int_blank[c] &= int_blank[c - 1]
         frac_blank[c] &= frac_blank[c - 1]
     quads[0] += _LEAD
-    quads[1:4] += int_blank * float(_LEAD)
-    quads[7] += _TRAIL
-    quads[6:4:-1] += frac_blank[:2] * float(_TRAIL)
-    quads[4] += frac_blank[2] * float(_KEEP)
-    first = int(int_blank.all(axis=1).sum())
-    last = 8 - int(frac_blank.all(axis=1).sum())
-    parts = [quads[first:4], np.full((1, v.size), _POINT), quads[4:last]]
-    negative = np.signbit(v) & fast
-    if negative.any():
-        parts.insert(0, np.where(negative, _MINUS, _BLANK)[None])
+    quads[1] += zero[0] * float(_LEAD)
+    quads[5] += _TRAIL
+    quads[4:2:-1] += frac_blank[:2] * float(_TRAIL)
+    quads[2] += frac_blank[2] * float(_KEEP)
+    first = int(zero[0].all())
+    last = 6 - int(frac_blank.all(axis=1).sum())
+    parts = [quads[first:2], np.full((1, v.size), _POINT), quads[2:last]]
     slow = np.flatnonzero(~fast)
     texts = [repr(x) for x in v[slow].tolist()]
     # a fallback text may need more cells than the fast rows use
@@ -141,22 +136,16 @@ def _shortest(a, e10):
 
 
 def _fixed_point_quads(hi, low, e10):
-    """D*10**e10 as a 32-digit fixed-point number (16 integer and 16
-    fraction digits) in eight 4-digit groups, shape (8, n)."""
+    """D*10**e10 as a 24-digit fixed-point number (8 integer and 16
+    fraction digits) in six 4-digit groups, shape (6, n)."""
     lead = np.floor(hi / 1e8)
-    hi = hi - lead * 1e8
-    wide = e10 >= 8.0
-    scale = _POW10[(e10 - 8.0 * wide).astype(np.intp)]
-    limbs = np.zeros((5, hi.size))  # 8-digit limbs of D*10**(e10 mod 8)
-    limbs[1] = lead * scale
-    limbs[2] = hi * scale
-    limbs[3] = low * scale
-    for i in (3, 2):
+    limbs = np.stack([lead, hi - lead * 1e8, low])  # 8-digit limbs of D
+    limbs *= _POW10[e10.astype(np.intp)]
+    for i in (2, 1):
         carry = np.floor(limbs[i] / 1e8)
         limbs[i] -= carry * 1e8
         limbs[i - 1] += carry
-    limbs = np.where(wide, limbs[1:], limbs[:4])
-    quads = np.empty((8, hi.size))
+    quads = np.empty((6, hi.size))
     np.floor(limbs / 1e4, out=quads[0::2])
     np.subtract(limbs, quads[0::2] * 1e4, out=quads[1::2])
     return quads

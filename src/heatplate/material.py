@@ -7,11 +7,14 @@ linear convection plus fourth-power radiation against a fixed ambient.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 STEFAN_BOLTZMANN = 5.67e-8  # W/(m^2 K^4)
+# theta**4 is a finite float for every theta below this, and overflows at it
+_FOURTH_ROOT_MAX = sys.float_info.max ** 0.25
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class ThermalMaterial:
     theta_cap : float
         Upper end of the admissible temperature range; both property laws
         must stay positive on [0, theta_cap].  Affine laws make checking
-        the interval endpoints sufficient.
+        the interval endpoints sufficient.  theta_cap**4 must be finite.
     """
 
     rho: float
@@ -44,6 +47,9 @@ class ThermalMaterial:
             raise ValueError(f"rho: must be > 0, got {self.rho}")
         if not self.theta_cap > 0:
             raise ValueError(f"theta_cap: must be > 0, got {self.theta_cap}")
+        if not self.theta_cap < _FOURTH_ROOT_MAX:
+            raise ValueError(f"theta_cap: theta_cap**4 must be a finite float, "
+                             f"got theta_cap = {self.theta_cap}")
         for law, offset, slope in (("heat capacity", "c0", "c1"),
                                    ("thermal conductivity", "lambda0", "lambda1")):
             v0, v1 = getattr(self, offset), getattr(self, slope)

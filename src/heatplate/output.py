@@ -59,12 +59,6 @@ def write_field_csv(field_values, grid: Grid, file) -> None:
         _write_lines(file, [x1, x2[k:k + step], theta])
 
 
-def read_field_csv(text: str) -> np.ndarray:
-    """Theta column of a field table, in file order (inverse of the writer)."""
-    lines = text.strip().split("\n")
-    return np.array([float(line.split(",")[2]) for line in lines[1:]])
-
-
 def write_signals_csv(result: SimulationResult, file) -> None:
     """Signal log with per-channel inputs/outputs plus channel averages,
     written into an open text file one block of logged rows at a time.

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatplate import cli, config, output, read_field_csv, simulation
+from heatplate import cli, config, output, simulation
 from heatplate.cli import main
 
 TINY_CONFIG = {
@@ -107,7 +107,8 @@ def test_run_config_writes_outputs(tiny_config_path, tmp_path, capsys):
         assert (out_dir / name).exists()
     summary = capsys.readouterr().out
     assert "y_avg" in summary and "dominant mode" in summary
-    field = read_field_csv((out_dir / "final_field.csv").read_text())
+    field = np.loadtxt(out_dir / "final_field.csv",
+                       delimiter=",", skiprows=1, usecols=2, ndmin=1)
     assert field.shape == (20 * 8,)
     header = (out_dir / "heatmap.pgm").read_bytes().split(b"\n")[:2]
     assert header == [b"P5", b"20 8"]
@@ -152,7 +153,9 @@ def test_overrides_edit_a_partial_document(tmp_path, capsys):
     out_dir = tmp_path / "p"
     assert main(["run", "--config", str(path), "--grid", "10x4", "--dt", "0.001",
                  "--t-final", "0.01", "--out", str(out_dir)]) == 0
-    assert read_field_csv((out_dir / "final_field.csv").read_text()).shape == (40,)
+    field = np.loadtxt(out_dir / "final_field.csv",
+                       delimiter=",", skiprows=1, usecols=2, ndmin=1)
+    assert field.shape == (40,)
     # a malformed document is reported, not overridden
     for text, message in (("[1]", "top level: expected an object"),
                           ('{"time": 3}', "time: expected an object")):
@@ -167,7 +170,8 @@ def test_grid_and_t_final_overrides(tmp_path):
     code = main(["run", "--scenario", "1", "--grid", "10x4",
                  "--dt", "0.001", "--t-final", "0.01", "--out", str(out_dir)])
     assert code == 0
-    field = read_field_csv((out_dir / "final_field.csv").read_text())
+    field = np.loadtxt(out_dir / "final_field.csv",
+                       delimiter=",", skiprows=1, usecols=2, ndmin=1)
     assert field.shape == (40,)
 
 
@@ -261,12 +265,19 @@ def test_size_too_large_to_allocate_exits_2(command, doc, tmp_path, capsys):
 def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
     # caught as a config error, before the run's emission computes theta_amb**4
     path = tmp_path / "hot.json"
-    path.write_text('{"exchange": {"theta_amb": 1e80}, "time": {"t_final": 0.002}}')
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
-    assert main([command, "--config", str(path), *out]) == 2
-    assert ("config error: exchange.theta_amb: must be <= material.theta_cap"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "o").exists()
+    for doc, message in (
+            ('{"exchange": {"theta_amb": 1e80}, "time": {"t_final": 0.002}}',
+             "exchange.theta_amb: must be <= material.theta_cap"),
+            ('{"material": {"theta_cap": 1e80}, "exchange": {"theta_amb": 1e79}, '
+             '"time": {"t_final": 0.002}}',
+             "material.theta_cap: theta_cap**4 must be a finite float")):
+        path.write_text(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), *out]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

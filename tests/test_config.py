@@ -77,6 +77,10 @@ class TestValidation:
         ('{"time": {"t_final": -1}}', r"time\.t_final"),
         ('{"time": {"signal_stride": 0}}', r"time\.signal_stride"),
         ('{"material": {"theta_cap": 0}}', r"material\.theta_cap"),
+        # a cap whose fourth power overflows, with an ambient below it
+        ('{"material": {"theta_cap": 1e80}, "exchange": {"theta_amb": 1e79}, '
+         '"time": {"t_final": 0.002}}',
+         r"material\.theta_cap: theta_cap\*\*4 must be a finite float"),
         ('{"sensors": {"m": 0}}',
          r"sensors\.m: sensor 0 has zero weight at every cell center"),
         # a bump that underflows to 0 at every cell centre blames M, not m

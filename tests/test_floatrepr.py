@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,18 @@ def rows_text(values):
 
 def reprs(values):
     return [repr(float(v)) for v in values]
+
+
+def count_fallbacks(monkeypatch):
+    """The values repr_block sends to repr, collected from now on."""
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(_floatrepr, "repr", counting_repr, raising=False)
+    return calls
 
 
 def neighbours(values):
@@ -60,16 +73,25 @@ class TestReprBlock:
         assert repr_block([]).shape[0] == 0
 
     def test_field_rarely_falls_back(self, monkeypatch):
-        # A 300-420 K field lies in the fast domain; a regression that sends
-        # it to the per-value path would still print the right bytes.
-        calls = []
+        # A 300-420 K field, times from 1 to 10 s and heater powers up to
+        # 1.1e6 W/m^2 lie in the fast domain; a regression that sends them
+        # to the per-value path would still print the right bytes.
+        calls = count_fallbacks(monkeypatch)
+        rng = np.random.default_rng(7)
+        for values in (rng.uniform(300.0, 420.0, 320_000),
+                       np.linspace(1.0, 10.0, 90_001),
+                       rng.uniform(1.0, 1.1e6, 200_000)):
+            calls.clear()
+            for start in range(0, values.size, 2048):
+                repr_block(values[start:start + 2048])
+            assert len(calls) <= 0.001 * values.size
 
-        def counting_repr(value):
-            calls.append(value)
-            return repr(value)
+    @pytest.mark.parametrize("values", [
+        -np.random.default_rng(8).uniform(1.0, 1e6, 2048),
+        np.random.default_rng(9).uniform(1e8, 1e15, 2048),
+    ], ids=["negative", "from-1e8"])
+    def test_outside_the_domain_is_repr(self, values, monkeypatch):
+        calls = count_fallbacks(monkeypatch)
+        assert rows_text(values) == reprs(values)
+        assert calls == values.tolist()
 
-        monkeypatch.setattr(_floatrepr, "repr", counting_repr, raising=False)
-        field = np.random.default_rng(7).uniform(300.0, 420.0, 320_000)
-        for start in range(0, field.size, 2048):
-            repr_block(field[start:start + 2048])
-        assert len(calls) <= 0.001 * field.size

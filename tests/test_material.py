@@ -71,6 +71,15 @@ class TestValidation:
                               theta_cap=500.0)
         assert mat.volumetric_heat_coefficient(500.0) > 0
 
+    def test_cap_keeps_its_fourth_power_finite(self):
+        largest = 1.1579208923731618e77  # the largest float whose x**4 is finite
+        ThermalMaterial(rho=7800, c0=330, c1=0.4, lambda0=10, lambda1=0.1,
+                        theta_cap=largest)
+        assert np.isfinite(largest**4)
+        with pytest.raises(ValueError, match=r"theta_cap: theta_cap\*\*4"):
+            ThermalMaterial(rho=7800, c0=330, c1=0.4, lambda0=10, lambda1=0.1,
+                            theta_cap=np.nextafter(largest, np.inf))
+
     @pytest.mark.parametrize("kwargs", [
         dict(h=-1.0, emissivity=0.6),
         dict(h=10.0, emissivity=1.5),
