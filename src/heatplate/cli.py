@@ -90,6 +90,8 @@ def _cmd_run(args) -> int:
     if args.t_final is not None:
         _override(doc, "time", "t_final", args.t_final)
     cfg = parse_config(doc)
+    # Made before the run, so an unusable --out fails before any step.
+    args.out.mkdir(parents=True, exist_ok=True)
     result = run_simulation(cfg)
     written = write_run_outputs(result, args.out, render=args.render)
     print(f"wrote {len(written)} files to {args.out}")

@@ -5,8 +5,9 @@ from a DeviceSpec: its `count` devices split the boundary (0, L) into equal
 half-open intervals [lo, hi), and each carries the bump-shaped weight
 profile m * exp(-|M*(x - c)|^nu), centered on its interval's midpoint c and
 zero outside the interval.  With m = 1 and M = 0 the profile degenerates to
-the indicator function of the interval.  Weights are evaluated once at cell
-centers and cached; a device bank is immutable afterwards.
+the indicator function of the interval.  One partition and one profile, with
+one entry per device, describe a whole bank; it fits its grid when count <= J.
+Weights are evaluated once at cell centers; a bank is immutable afterwards.
 """
 
 from __future__ import annotations
@@ -20,35 +21,37 @@ from .grid import MAX_FLOATS, Grid
 
 @dataclass(frozen=True)
 class BoundaryPartition:
-    """Half-open interval [lo, hi) along the boundary coordinate, meters.
+    """Half-open intervals [lo, hi) along the boundary coordinate, meters.
 
-    Half-open so a cell center sitting on a shared edge belongs to exactly
-    one device.
+    lo and hi are scalars for one interval, or (count, 1) columns with one
+    entry per device of a bank.  Half-open so a cell center sitting on a
+    shared edge belongs to exactly one device.
     """
 
-    lo: float
-    hi: float
+    lo: float | np.ndarray
+    hi: float | np.ndarray
 
     @property
-    def midpoint(self) -> float:
+    def midpoint(self) -> float | np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, x):
-        """Membership test, elementwise over arrays."""
+        """Membership test, broadcast over the intervals and x."""
         return (x >= self.lo) & (x < self.hi)
 
 
 @dataclass(frozen=True)
 class Characterization:
-    """Weight profile m * exp(-|M*(x - center)|^nu) on a device's interval.
+    """Weight profile m * exp(-|M*(x - center)|^nu) on each device's interval.
 
-    Built only from a checked DeviceSpec, which holds the parameter rules.
+    Built only from a checked DeviceSpec, which holds the parameter rules;
+    center, like the partition, may hold one entry per device.
     """
 
     m: float
     M: float
     nu: float
-    center: float
+    center: float | np.ndarray
 
     def value(self, partition: BoundaryPartition, x):
         """Profile value at x: the bump inside the partition, 0 outside."""
@@ -66,7 +69,7 @@ class DeviceSpec:
     on its interval midpoint.  m is the peak magnitude in [0, 1], M a shape
     scale in 1/m, nu the exponent.  M = 0 with nu > 0 gives the flat
     indicator profile; nu = 0 with M = 0 is rejected because 0**0 is
-    ambiguous.  A count that no array can hold raises MemoryError.
+    ambiguous.  A count above the index range of an array is rejected.
     """
 
     count: int
@@ -78,8 +81,8 @@ class DeviceSpec:
         if self.count < 1:
             raise ValueError(f"count: must be >= 1, got {self.count}")
         if self.count > MAX_FLOATS:
-            raise MemoryError(f"{self.count} devices are more than an array "
-                              f"can hold ({MAX_FLOATS})")
+            raise ValueError(f"count: {self.count} devices are more than an "
+                             f"array can hold ({MAX_FLOATS})")
         if not 0 <= self.m <= 1:
             raise ValueError(f"m: must be in [0, 1], got {self.m}")
         if self.M < 0:
@@ -93,22 +96,20 @@ class DeviceSpec:
 def _weight_table(grid: Grid, spec: DeviceSpec, kind: str) -> np.ndarray:
     """(count, J) profile values of the spec's devices at the cell centers.
 
-    A device with no positive weight is blamed on count when its interval
-    holds no center, else on m if 0, else on M (its bump underflows).
+    With count <= J every interval holds a center.  A device with no
+    positive weight is blamed on m if 0, else on M (its bump underflows).
     """
-    edges = np.linspace(0.0, grid.geometry.length, spec.count + 1)
-    x = grid.x1_centers()
-    table = np.empty((spec.count, grid.J))
-    for n in range(spec.count):
-        part = BoundaryPartition(edges[n], edges[n + 1])
-        char = Characterization(spec.m, spec.M, spec.nu, part.midpoint)
-        table[n] = char.value(part, x)
-        if not table[n].any():
-            if not part.contains(x).any():
-                raise ValueError(f"count: {kind} {n} of {spec.count} covers no "
-                                 f"cell center on J = {grid.J} columns")
-            raise ValueError(f"{'m' if spec.m == 0 else 'M'}: {kind} {n} has "
-                             "zero weight at every cell center")
+    if spec.count > grid.J:
+        raise ValueError(f"count: {spec.count} {kind}s on J = {grid.J} columns: "
+                         "at least one covers no cell center")
+    edges = np.linspace(0.0, grid.geometry.length, spec.count + 1)[:, None]
+    part = BoundaryPartition(edges[:-1], edges[1:])
+    char = Characterization(spec.m, spec.M, spec.nu, part.midpoint)
+    table = char.value(part, grid.x1_centers())
+    dead = ~table.any(axis=1)
+    if dead.any():
+        raise ValueError(f"{'m' if spec.m == 0 else 'M'}: {kind} {dead.argmax()} "
+                         "has zero weight at every cell center")
     return table
 
 

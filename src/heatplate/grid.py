@@ -16,8 +16,8 @@ import numpy as np
 from .material import ThermalMaterial
 
 # The most float64 values one array can hold: numpy indexes its bytes with
-# a signed pointer-sized integer.  A size above this fails before any memory
-# is touched, so it raises MemoryError as an allocation would.
+# a signed pointer-sized integer.  No allocation can meet a size above this,
+# so it is a config error under the count that asks for it.
 MAX_FLOATS = sys.maxsize // 8
 
 
@@ -41,7 +41,8 @@ class Grid:
 
     At least two cells per axis are required: the five-point stencil and
     the ghost-cell boundary substitution both need a distinct neighbor,
-    and a field of J*K cells must fit one array, else MemoryError.
+    and a field of J*K cells must fit one array, else the larger count (J on
+    a tie) is rejected.
     The stencil divides by the squared cell sizes, so each square must be
     a finite nonzero float; one that is not is blamed on the cell count
     when the length's own square is a finite nonzero float.
@@ -63,8 +64,9 @@ class Grid:
                 raise ValueError(f"{key}: cell size {dx:g} m has a "
                                  f"square of {dx * dx:g}, outside (0, inf)")
         if self.n_cells > MAX_FLOATS:
-            raise MemoryError(f"a {self.J} x {self.K} grid has more cells "
-                              f"than an array can hold ({MAX_FLOATS})")
+            key = "J" if self.J >= self.K else "K"
+            raise ValueError(f"{key}: a {self.J} x {self.K} grid has more cells "
+                             f"than an array can hold ({MAX_FLOATS})")
 
     @property
     def dx1(self) -> float:

@@ -93,6 +93,10 @@ class SimulationConfig:
             key = "base" if ic.base > cap else "a0"
             raise ValueError(f"initial.{key}: base + |a0| = {ic.base + abs(ic.a0)} "
                              f"must be <= material.theta_cap = {cap}")
+        for key, phase in zip(("a1", "a2"), _phases(self.grid, ic)):
+            if not np.isfinite(phase).all():
+                raise ValueError(f"initial.{key}: the cosine phase must be finite "
+                                 f"at every cell center, got {key} = {getattr(ic, key)}")
         # Looked up in the module at call time, where tracers wrap it.
         object.__setattr__(self, "banks", build_banks(self))
 
@@ -131,20 +135,25 @@ class TopsideStatistics:
     dominant_mode: int
 
 
+def _phases(grid: Grid, ic: InitialCondition) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine phases 2*pi*a1*x1/L and 2*pi*a2*x2/H at the cell centers."""
+    with np.errstate(over="ignore"):  # an overflow is caught by the config
+        return (2 * np.pi * ic.a1 * grid.x1_centers() / grid.geometry.length,
+                2 * np.pi * ic.a2 * grid.x2_centers() / grid.geometry.height)
+
+
 def initial_field(grid: Grid, ic: InitialCondition) -> np.ndarray:
     """Evaluate the initial condition at every cell center, flat order."""
-    length = grid.geometry.length
-    height = grid.geometry.height
-    mode1 = np.cos(2 * np.pi * ic.a1 * grid.x1_centers() / length)
-    mode2 = np.cos(2 * np.pi * ic.a2 * grid.x2_centers() / height)
-    return (ic.base + ic.a0 * np.outer(mode2, mode1)).reshape(-1)
+    phase1, phase2 = _phases(grid, ic)
+    return (ic.base + ic.a0 * np.outer(np.cos(phase2), np.cos(phase1))).reshape(-1)
 
 
 def build_banks(cfg: SimulationConfig) -> tuple[ActuatorBank, SensorBank]:
     """Construct both device banks from their specs on the config's grid.
 
     A bank that does not fit the grid raises ValueError under its spec's
-    path, e.g. "actuators.count: actuator 1 of 5 covers no cell center ...".
+    path, e.g. "actuators.count: 5 actuators on J = 3 columns: at least one
+    covers no cell center".
     """
     def bank(cls, section):
         try:

@@ -197,8 +197,8 @@ def test_out_of_range_override_exits_2(tmp_path, capsys):
     for flags, path in ((["--t-final", "-1"], "time.t_final"),
                         (["--dt", "0"], "time.dt"),
                         (["--dt", "inf"], "time.dt"),
-                        (["--grid", "3x40"], "actuators.count: actuator 1 of 5 "
-                                             "covers no cell center on J = 3")):
+                        (["--grid", "3x40"], "actuators.count: 5 actuators on J = 3 "
+                                             "columns: at least one covers no cell center")):
         assert main(["run", "--scenario", "1", *flags,
                      "--out", str(tmp_path / "z")]) == 2
         assert path in capsys.readouterr().err
@@ -236,34 +236,64 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-# Sizes above any 64-bit address space, which fail before memory is touched:
-# HUGE at allocation, BEYOND already when checked against the index range.
+# Sizes above any 64-bit address space.  A grid or a device count beyond the
+# index range of an array is a config error under its path.  HUGE actuators
+# are within that range, but the scalar controller.kp is expanded to HUGE
+# gains, and that allocation fails.
 HUGE = 10 ** 17
 BEYOND = 10 ** 22
+TOO_LARGE = "the configuration is too large to allocate"
+MORE_CELLS = "grid has more cells than an array can hold"
+MORE_DEVICES = "devices are more than an array can hold"
+SIZE_CASES = [
+    ("check", {"grid": {"J": HUGE}}, f"grid.J: a {HUGE} x 40 {MORE_CELLS}"),
+    ("check", {"actuators": {"count": HUGE}, "sensors": {"count": HUGE}}, TOO_LARGE),
+    ("run", {"grid": {"K": HUGE}}, f"grid.K: a 100 x {HUGE} {MORE_CELLS}"),
+    ("check", {"grid": {"J": BEYOND}}, f"grid.J: a {BEYOND} x 40 {MORE_CELLS}"),
+    ("check", {"actuators": {"count": BEYOND}, "sensors": {"count": BEYOND}},
+     f"actuators.count: {BEYOND} {MORE_DEVICES}"),
+    ("check", {"grid": {"K": BEYOND}}, f"grid.K: a 100 x {BEYOND} {MORE_CELLS}"),
+    ("run", {"grid": {"K": BEYOND}}, f"grid.K: a 100 x {BEYOND} {MORE_CELLS}"),
+    # a tie blames J
+    ("check", {"grid": {"J": 4000000000, "K": 4000000000}},
+     f"grid.J: a 4000000000 x 4000000000 {MORE_CELLS}"),
+    ("run", {"grid": {"J": 4000000000, "K": 4000000000}},
+     f"grid.J: a 4000000000 x 4000000000 {MORE_CELLS}"),
+    ("check", {"actuators": {"count": 2e18}, "sensors": {"count": 2e18}},
+     f"actuators.count: {2 * 10 ** 18} {MORE_DEVICES}"),
+    ("run", {"actuators": {"count": 2e18}, "sensors": {"count": 2e18}},
+     f"actuators.count: {2 * 10 ** 18} {MORE_DEVICES}"),
+]
 
 
-@pytest.mark.parametrize("command,doc", [
-    ("check", {"grid": {"J": HUGE}}),
-    ("check", {"actuators": {"count": HUGE}, "sensors": {"count": HUGE}}),
-    ("run", {"grid": {"K": HUGE}}),
-    ("check", {"grid": {"J": BEYOND}}),
-    ("check", {"actuators": {"count": BEYOND}, "sensors": {"count": BEYOND}}),
-    ("check", {"grid": {"K": BEYOND}}),
-    ("run", {"grid": {"K": BEYOND}}),
+@pytest.mark.parametrize("command,doc,message", [
+    pytest.param(*case, id=f"{case[0]}-doc{i}") for i, case in enumerate(SIZE_CASES)
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # run's stability advisory
-def test_size_too_large_to_allocate_exits_2(command, doc, tmp_path, capsys):
+def test_size_too_large_to_allocate_exits_2(command, doc, message, tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
     assert main([command, "--config", str(path), *out]) == 2
-    assert ("config error: the configuration is too large to allocate"
-            in capsys.readouterr().err)
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("run_simulation was called")
+
+    monkeypatch.setattr(cli, "run_simulation", never)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--scenario", "1", "--t-final", "2", "--out", str(out)]) == 2
+    assert "i/o error: [Errno 17] File exists" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
-    # caught as a config error, before the run's emission computes theta_amb**4
+    # caught as config errors, before the run's emission computes theta_amb**4
+    # or its initial field takes the cosine of an infinite phase
     path = tmp_path / "hot.json"
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
     for doc, message in (
@@ -271,7 +301,13 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
              "exchange.theta_amb: must be <= material.theta_cap"),
             ('{"material": {"theta_cap": 1e80}, "exchange": {"theta_amb": 1e79}, '
              '"time": {"t_final": 0.002}}',
-             "material.theta_cap: theta_cap**4 must be a finite float")):
+             "material.theta_cap: theta_cap**4 must be a finite float"),
+            ('{"initial": {"a1": 1e308}, "time": {"t_final": 0.002}}',
+             "initial.a1: the cosine phase must be finite at every cell center, "
+             "got a1 = 1e+308"),
+            ('{"initial": {"a2": 1e308}, "time": {"t_final": 0.002}}',
+             "initial.a2: the cosine phase must be finite at every cell center, "
+             "got a2 = 1e+308")):
         path.write_text(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -89,7 +89,8 @@ class TestValidation:
         ('{"geometry": {"L": 3}, "actuators": {"M": 1e6}}',
          r"actuators\.M: actuator 0 has zero weight at every cell center"),
         ('{"actuators": {"m": 0}}', r"actuators\.m: actuator 0 has zero weight"),
-        ('{"grid": {"J": 3}}', r"actuators\.count: actuator 1 .*J = 3"),
+        ('{"grid": {"J": 3}}', r"actuators\.count: 5 actuators on J = 3 columns: "
+                               r"at least one covers no cell center$"),
         ('{"geometry": {"L": 1e-170}}', r"geometry\.L: cell size"),
         ('{"geometry": {"H": 1e-170}}', r"geometry\.H: cell size"),
         ('{"geometry": {"L": 1e300}, "sensors": {"M": 0}}', r"geometry\.L: cell size"),
@@ -100,6 +101,11 @@ class TestValidation:
         ('{"initial": {"base": 3100, "a0": 0}}',
          r"initial\.base: base \+ \|a0\| = 3100"),
         ('{"initial": {"base": 2999, "a0": 3}}', r"initial\.a0: base \+ \|a0\| = 3002"),
+        # a mode count whose cosine phase overflows at a cell center
+        ('{"initial": {"a1": 1e308}, "time": {"t_final": 0.002}}',
+         r"initial\.a1: the cosine phase must be finite at every cell center"),
+        ('{"initial": {"a2": 1e308}, "time": {"t_final": 0.002}}',
+         r"initial\.a2: the cosine phase must be finite at every cell center"),
         ('{"grid": {"J": 1%s}}' % ("0" * 400), r"grid\.J: must be finite"),
     ])
     def test_field_errors_name_their_path(self, doc, path):

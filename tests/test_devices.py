@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from heatplate import ActuatorBank, DeviceSpec, Grid, PlateGeometry, SensorBank
+from heatplate import ActuatorBank, DeviceSpec, Grid, PlateGeometry, SensorBank, devices
 from heatplate.devices import BoundaryPartition, Characterization
 
 
@@ -13,6 +14,26 @@ def partitions(length, count):
     """The equal intervals that a bank of `count` devices occupies."""
     edges = np.linspace(0.0, length, count + 1)
     return [BoundaryPartition(edges[n], edges[n + 1]) for n in range(count)]
+
+
+def per_device_table(grid, spec, kind):
+    """The weight table built one device at a time, with scalar intervals.
+
+    The reference for the bank-wide fold in devices._weight_table: it scans
+    each interval for a cell center instead of comparing count with J.
+    """
+    x = grid.x1_centers()
+    table = np.empty((spec.count, grid.J))
+    for n, part in enumerate(partitions(grid.geometry.length, spec.count)):
+        char = Characterization(spec.m, spec.M, spec.nu, part.midpoint)
+        table[n] = char.value(part, x)
+        if not table[n].any():
+            if not part.contains(x).any():
+                raise ValueError(f"count: {kind} {n} of {spec.count} covers no "
+                                 f"cell center on J = {grid.J} columns")
+            raise ValueError(f"{'m' if spec.m == 0 else 'M'}: {kind} {n} has "
+                             "zero weight at every cell center")
+    return table
 
 
 @pytest.fixture
@@ -115,6 +136,36 @@ class TestActuatorBank:
         with pytest.raises(ValueError, match="no cell center"):
             ActuatorBank.build(g, spec)
 
+    @settings(max_examples=300, deadline=None)
+    @given(J=st.integers(2, 200), data=st.data(),
+           m=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0]),
+                       st.floats(0.0, 1.0)),
+           M=st.one_of(st.sampled_from([0.0, 10.0, 30.0, 1e6, 1e300]),
+                       st.floats(0.0, 1e4)),
+           nu=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 4.0, 64.0]),
+                        st.floats(0.0, 16.0)),
+           length=st.one_of(st.sampled_from([0.30, 3.0, 1e150]),
+                            st.floats(1e-300, 1e300)))
+    def test_bank_fold_matches_the_per_device_loop(self, J, data, m, M, nu, length):
+        # Both bank kinds build the same bytes, or raise the same text, as
+        # the per-device loop, wherever the bank fits its grid.
+        count = data.draw(st.integers(1, J), label="count")
+        dx = length / J
+        assume(0 < dx * dx < math.inf and not (nu == 0 and M == 0))
+        g = Grid(PlateGeometry(length, 0.01), J=J, K=2)
+        spec = DeviceSpec(count, m=m, M=M, nu=nu)
+
+        def outcome(cls):
+            try:
+                return cls.build(g, spec).weight_table.tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        for cls in (ActuatorBank, SensorBank):
+            folded = outcome(cls)
+            with mock.patch.object(devices, "_weight_table", per_device_table):
+                assert outcome(cls) == folded
+
     @settings(max_examples=200, deadline=None)
     @given(J=st.integers(2, 300), count=st.integers(1, 60),
            length=st.floats(1e-300, 1e300))
@@ -134,8 +185,10 @@ class TestActuatorBank:
         g = Grid(PlateGeometry(length, 0.01), J=J, K=2)
         spec = DeviceSpec(count, m=1.0, M=0.0, nu=4.0)
         if count > J:
-            with pytest.raises(ValueError, match="covers no cell center"):
+            with pytest.raises(ValueError) as info:
                 ActuatorBank.build(g, spec)
+            assert str(info.value) == (f"count: {count} actuators on J = {J} "
+                                       "columns: at least one covers no cell center")
             return
         table = ActuatorBank.build(g, spec).weight_table
         assert (table.sum(axis=0) == 1.0).all()

@@ -209,8 +209,9 @@ class TestRunSimulation:
     def test_config_checks_its_banks_when_made(self, preset1):
         # five heater intervals on three columns: interval 1, [0.06, 0.12),
         # holds no cell center (0.05, 0.15, 0.25)
-        with pytest.raises(ValueError, match="^actuators.count: actuator 1 of 5 "
-                                             "covers no cell center on J = 3"):
+        with pytest.raises(ValueError, match="^actuators.count: 5 actuators on J = 3 "
+                                             "columns: at least one covers no cell "
+                                             "center$"):
             dataclasses.replace(preset1, grid=Grid(PlateGeometry(0.30, 0.01), J=3, K=8))
 
     @pytest.mark.parametrize("base,a0,key", [
