@@ -80,11 +80,8 @@ def dump_config(cfg: SimulationConfig) -> str:
     for section, cls in _SECTIONS.items():
         obj = objects[section] if section in objects else getattr(cfg, section)
         doc[section] = {key: getattr(obj, f.name) for key, f in _keys(cls)}
-    controller = doc["controller"]
-    kp = controller["kp"]
-    controller["kp"] = kp[0] if len(set(kp)) == 1 else list(kp)
-    if math.isinf(controller["u_max"]):
-        controller["u_max"] = None
+    if math.isinf(doc["controller"]["u_max"]):  # JSON has no infinity
+        doc["controller"]["u_max"] = None
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -109,12 +106,10 @@ def _number(value, path, *, integer=False):
     return int(value) if integer else float(value)
 
 
-def _value(path, field, value, objects):
+def _value(path, field, value):
     """The dataclass argument for the document value at `path`."""
-    if path == "controller.kp":  # one gain per actuator, or one for all
-        if isinstance(value, list):
-            return tuple(_number(gain, path) for gain in value)
-        return (_number(value, path),) * objects["actuators"].count
+    if path == "controller.kp" and isinstance(value, list):  # one gain per channel
+        return tuple(_number(gain, path) for gain in value)
     if path == "controller.u_max" and value is None:
         return math.inf
     return _number(value, path, integer=field.type in (int, "int"))
@@ -156,7 +151,7 @@ def parse_config(document: dict) -> SimulationConfig:
     for section, cls in _SECTIONS.items():
         kwargs = {f.name: objects[f.name] for f in fields(cls) if f.name in _SECTIONS}
         for key, f in _keys(cls):
-            kwargs[f.name] = _value(f"{section}.{key}", f, doc[section][key], objects)
+            kwargs[f.name] = _value(f"{section}.{key}", f, doc[section][key])
         with _errors_under(section):
             objects[section] = cls(**kwargs)
     return objects["time"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import MAX_FLOATS, Grid
+from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class DeviceSpec:
     on its interval midpoint.  m is the peak magnitude in [0, 1], M a shape
     scale in 1/m, nu the exponent.  M = 0 with nu > 0 gives the flat
     indicator profile; nu = 0 with M = 0 is rejected because 0**0 is
-    ambiguous.  A count above the index range of an array is rejected.
+    ambiguous.  A bank checks count <= J against its grid when it is built.
     """
 
     count: int
@@ -80,9 +80,6 @@ class DeviceSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count: must be >= 1, got {self.count}")
-        if self.count > MAX_FLOATS:
-            raise ValueError(f"count: {self.count} devices are more than an "
-                             f"array can hold ({MAX_FLOATS})")
         if not 0 <= self.m <= 1:
             raise ValueError(f"m: must be in [0, 1], got {self.m}")
         if self.M < 0:

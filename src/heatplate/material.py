@@ -32,7 +32,8 @@ class ThermalMaterial:
     theta_cap : float
         Upper end of the admissible temperature range; both property laws
         must stay positive on [0, theta_cap].  Affine laws make checking
-        the interval endpoints sufficient.  theta_cap**4 must be finite.
+        the interval endpoints sufficient.  theta_cap**4 must be finite, and
+        so must the kernel's rho*c0, rho*c1 and rho*c(theta_cap).
     """
 
     rho: float
@@ -59,6 +60,11 @@ class ThermalMaterial:
                 raise ValueError(
                     f"{slope}: {law} must stay positive on [0, {self.theta_cap}] K"
                 )
+        rho_c0, rho_c1 = self.rho * self.c0, self.rho * self.c1
+        for name, product in (("rho*c0", rho_c0), ("rho*c1", rho_c1),
+                              ("rho*c(theta_cap)", self.theta_cap * rho_c1 + rho_c0)):
+            if not np.isfinite(product):
+                raise ValueError(f"rho: {name} must be a finite float, got {product}")
 
     def thermal_conductivity(self, theta):
         """lambda(theta) = lambda0 + lambda1*theta, elementwise over arrays."""

@@ -75,16 +75,6 @@ class SimulationConfig:
         for name in ("snapshot_stride", "signal_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.controller.channels != self.actuators.count:
-            raise ValueError(
-                f"controller.kp: got {self.controller.channels} gains for "
-                f"{self.actuators.count} actuators"
-            )
-        if self.sensors.count != self.actuators.count:
-            raise ValueError(
-                "sensors.count: channel pairing needs equal counts, got "
-                f"{self.sensors.count} sensors and {self.actuators.count} actuators"
-            )
         cap, ic = self.material.theta_cap, self.initial
         if self.exchange.theta_amb > cap:
             raise ValueError(f"exchange.theta_amb: must be <= material.theta_cap "
@@ -97,8 +87,19 @@ class SimulationConfig:
             if not np.isfinite(phase).all():
                 raise ValueError(f"initial.{key}: the cosine phase must be finite "
                                  f"at every cell center, got {key} = {getattr(ic, key)}")
-        # Looked up in the module at call time, where tracers wrap it.
+        # Looked up in the module at call time, where tracers wrap it.  The
+        # banks check each count against the grid before the channel rules.
         object.__setattr__(self, "banks", build_banks(self))
+        if self.controller.channels not in (None, self.actuators.count):
+            raise ValueError(
+                f"controller.kp: got {self.controller.channels} gains for "
+                f"{self.actuators.count} actuators"
+            )
+        if self.sensors.count != self.actuators.count:
+            raise ValueError(
+                "sensors.count: channel pairing needs equal counts, got "
+                f"{self.sensors.count} sensors and {self.actuators.count} actuators"
+            )
 
     def n_steps(self) -> int:
         """Number of Euler steps; t_final is a whole multiple of dt."""

@@ -236,22 +236,23 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-# Sizes above any 64-bit address space.  A grid or a device count beyond the
-# index range of an array is a config error under its path.  HUGE actuators
-# are within that range, but the scalar controller.kp is expanded to HUGE
-# gains, and that allocation fails.
+# Sizes above any 64-bit address space.  A grid beyond the index range of an
+# array is a config error under its path, and a device count is checked
+# against grid.J before anything is sized by it, so any count above J names
+# its section, alone or with sensors of the same count.
 HUGE = 10 ** 17
 BEYOND = 10 ** 22
 TOO_LARGE = "the configuration is too large to allocate"
 MORE_CELLS = "grid has more cells than an array can hold"
-MORE_DEVICES = "devices are more than an array can hold"
+NO_CENTER = "actuators on J = 100 columns: at least one covers no cell center"
 SIZE_CASES = [
     ("check", {"grid": {"J": HUGE}}, f"grid.J: a {HUGE} x 40 {MORE_CELLS}"),
-    ("check", {"actuators": {"count": HUGE}, "sensors": {"count": HUGE}}, TOO_LARGE),
+    ("check", {"actuators": {"count": HUGE}, "sensors": {"count": HUGE}},
+     f"actuators.count: {HUGE} {NO_CENTER}"),
     ("run", {"grid": {"K": HUGE}}, f"grid.K: a 100 x {HUGE} {MORE_CELLS}"),
     ("check", {"grid": {"J": BEYOND}}, f"grid.J: a {BEYOND} x 40 {MORE_CELLS}"),
     ("check", {"actuators": {"count": BEYOND}, "sensors": {"count": BEYOND}},
-     f"actuators.count: {BEYOND} {MORE_DEVICES}"),
+     f"actuators.count: {BEYOND} {NO_CENTER}"),
     ("check", {"grid": {"K": BEYOND}}, f"grid.K: a 100 x {BEYOND} {MORE_CELLS}"),
     ("run", {"grid": {"K": BEYOND}}, f"grid.K: a 100 x {BEYOND} {MORE_CELLS}"),
     # a tie blames J
@@ -260,23 +261,41 @@ SIZE_CASES = [
     ("run", {"grid": {"J": 4000000000, "K": 4000000000}},
      f"grid.J: a 4000000000 x 4000000000 {MORE_CELLS}"),
     ("check", {"actuators": {"count": 2e18}, "sensors": {"count": 2e18}},
-     f"actuators.count: {2 * 10 ** 18} {MORE_DEVICES}"),
+     f"actuators.count: {2 * 10 ** 18} {NO_CENTER}"),
     ("run", {"actuators": {"count": 2e18}, "sensors": {"count": 2e18}},
-     f"actuators.count: {2 * 10 ** 18} {MORE_DEVICES}"),
+     f"actuators.count: {2 * 10 ** 18} {NO_CENTER}"),
 ]
+# every such count, alone and with both sections, under both commands
+SIZE_CASES += [case for case in (
+    (command, {"actuators": {"count": count}, **sensors},
+     f"actuators.count: {int(count)} {NO_CENTER}")
+    for count in (10 ** 7, HUGE, BEYOND, 2e18)
+    for sensors in ({}, {"sensors": {"count": count}})
+    for command in ("check", "run")) if case not in SIZE_CASES]
 
 
 @pytest.mark.parametrize("command,doc,message", [
     pytest.param(*case, id=f"{case[0]}-doc{i}") for i, case in enumerate(SIZE_CASES)
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # run's stability advisory
 def test_size_too_large_to_allocate_exits_2(command, doc, message, tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
-    assert main([command, "--config", str(path), *out]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path), *out]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_allocation_failure_exits_2(monkeypatch, capsys):
+    # no size in range fails to allocate any longer; pin the branch directly
+    def exhausted(document):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_config", exhausted)
+    assert main(["check", "--scenario", "1"]) == 2
+    assert f"config error: {TOO_LARGE}" in capsys.readouterr().err
 
 
 def test_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
@@ -292,8 +311,9 @@ def test_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
-    # caught as config errors, before the run's emission computes theta_amb**4
-    # or its initial field takes the cosine of an infinite phase
+    # caught as config errors, before the run's emission computes theta_amb**4,
+    # its initial field takes the cosine of an infinite phase, rho*c(theta)
+    # overflows and freezes the plate, or a negative u_max makes heaters cool
     path = tmp_path / "hot.json"
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
     for doc, message in (
@@ -307,7 +327,13 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
              "got a1 = 1e+308"),
             ('{"initial": {"a2": 1e308}, "time": {"t_final": 0.002}}',
              "initial.a2: the cosine phase must be finite at every cell center, "
-             "got a2 = 1e+308")):
+             "got a2 = 1e+308"),
+            ('{"material": {"rho": 1e308}, "time": {"t_final": 0.01}}',
+             "material.rho: rho*c0 must be a finite float, got inf"),
+            ('{"material": {"c0": 1e308}}',
+             "material.rho: rho*c0 must be a finite float, got inf"),
+            ('{"controller": {"u_min": -5.0, "u_max": -1.0}}',
+             "controller.u_max: must be >= 0 (heaters cannot cool), got -1.0")):
         path.write_text(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

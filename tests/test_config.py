@@ -1,14 +1,16 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heatplate import (ConfigError, dump_config, load_config, parse_config,
-                       scenario_preset)
+                       proportional_law, scenario_preset)
 
 
 class TestDefaults:
@@ -107,6 +109,16 @@ class TestValidation:
         ('{"initial": {"a2": 1e308}, "time": {"t_final": 0.002}}',
          r"initial\.a2: the cosine phase must be finite at every cell center"),
         ('{"grid": {"J": 1%s}}' % ("0" * 400), r"grid\.J: must be finite"),
+        # rho*c(theta) overflows: a frozen plate, since every rate is N/inf
+        ('{"material": {"rho": 1e308}, "time": {"t_final": 0.01}}',
+         r"material\.rho: rho\*c0 must be a finite float, got inf$"),
+        ('{"material": {"c0": 1e308}}',
+         r"material\.rho: rho\*c0 must be a finite float, got inf$"),
+        ('{"controller": {"u_min": -5.0, "u_max": -1.0}}',
+         r"controller\.u_max: must be >= 0 \(heaters cannot cool\), got -1\.0$"),
+        # a count that cannot fit the grid is blamed on its own section
+        ('{"actuators": {"count": 2e18}}',
+         r"actuators\.count: 2000000000000000000 actuators on J = 100 columns"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with warnings.catch_warnings():
@@ -150,7 +162,19 @@ class TestValidation:
 class TestController:
     def test_scalar_gain_broadcasts(self):
         cfg = load_config('{"controller": {"kp": 500.0}}')
-        assert cfg.controller.kp == (500.0,) * 5
+        assert cfg.controller.kp == 500.0 and cfg.controller.channels is None
+        assert (proportional_law(cfg.controller, np.ones(5)) == 500.0).all()
+
+    def test_huge_count_is_rejected_before_anything_is_sized_by_it(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^actuators\.count: 10000000 "
+                                                  r"actuators on J = 100 columns"):
+                load_config('{"actuators": {"count": 10000000}}')
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_gain_list(self):
         cfg = load_config('{"controller": {"kp": [1, 2, 3, 4, 5]}}')
@@ -181,6 +205,12 @@ class TestRoundTrip:
     def test_preset_survives_dump_and_load(self, preset1, preset2):
         for preset in (preset1, preset2):
             assert load_config(dump_config(preset)) == preset
+
+    def test_gains_dump_as_written(self):
+        for kp in (500.0, [500.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]):
+            cfg = load_config(json.dumps({"controller": {"kp": kp}}))
+            assert json.loads(dump_config(cfg))["controller"]["kp"] == kp
+        assert '"kp": 500.0,' in dump_config(load_config('{"controller": {"kp": 500}}'))
 
     def test_custom_config_survives(self):
         cfg = load_config(json.dumps({

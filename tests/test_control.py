@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from heatplate import ControllerConfig, proportional_law
+from heatplate import (ControllerConfig, load_config, proportional_law,
+                       run_simulation)
 
 
 @pytest.fixture
@@ -67,3 +68,30 @@ class TestControllerConfig:
 
     def test_channel_count(self):
         assert ControllerConfig(kp=(1.0, 2.0, 3.0), y_ref=400.0).channels == 3
+
+    def test_rejects_negative_u_max(self):
+        # with u_min <= u_max this keeps every input at 0 or above
+        with pytest.raises(ValueError, match=r"^u_max: must be >= 0 "
+                                             r"\(heaters cannot cool\), got -1\.0$"):
+            ControllerConfig(kp=1.0, y_ref=400.0, u_min=-5.0, u_max=-1.0)
+        assert ControllerConfig(kp=1.0, y_ref=400.0, u_min=-5.0, u_max=0.0).u_max == 0.0
+
+
+class TestOneGain:
+    def test_one_gain_serves_any_channel_count(self):
+        ctrl = ControllerConfig(kp=2.0, y_ref=400.0)
+        assert ctrl.kp == 2.0 and ctrl.channels is None
+        for e in (np.array([0.5, -2.0, 1.0, 0.0, 3.0]), np.array([7.0, -1.0, 0.25])):
+            expected = np.where(e > 0, 2.0 * e, 0.0)
+            assert proportional_law(ctrl, e).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match=r"expected 1-D errors, got shape \(5, 1\)"):
+            proportional_law(ctrl, np.ones((5, 1)))
+
+    def test_one_gain_runs_bitwise_like_a_list_of_gains(self):
+        short = '{"grid": {"J": 20, "K": 8}, "time": {"t_final": 0.05}, '
+        one, listed = (run_simulation(load_config(short + '"controller": {"kp": %s}}' % kp))
+                       for kp in ("1e4", "[1e4, 1e4, 1e4, 1e4, 1e4]"))
+        assert one.config.controller.channels is None
+        assert listed.config.controller.channels == 5
+        for name in ("final_field", "inputs", "outputs"):
+            assert getattr(one, name).tobytes() == getattr(listed, name).tobytes(), name

@@ -55,7 +55,7 @@ class TestScenarioPresets:
         assert preset1.grid.dx1 == pytest.approx(3e-3, rel=1e-12)
         assert preset1.grid.dx2 == pytest.approx(2.5e-4, rel=1e-12)
         assert preset1.sensors == DeviceSpec(count=5, m=1.0, M=10.0, nu=4.0)
-        assert preset1.controller.kp == (1e4,) * 5
+        assert preset1.controller.kp == 1e4 and preset1.controller.channels is None
         assert preset1.controller.y_ref == 400.0
         assert preset1.dt == 1e-3 and preset1.t_final == 10.0
         assert preset1.n_steps() == 10_000
