@@ -27,8 +27,8 @@ class ConfigError(ValueError):
 
 
 # Document sections in build order, each with the dataclass it builds.  A
-# section's keys are that dataclass's fields, named alike except L and H; a
-# field named after an earlier section holds that section's object instead.
+# section's keys are that dataclass's field names; a field named after an
+# earlier section holds that section's object instead.
 _SECTIONS = {
     "geometry": PlateGeometry,
     "grid": Grid,
@@ -40,7 +40,6 @@ _SECTIONS = {
     "initial": InitialCondition,
     "time": SimulationConfig,
 }
-_KEYS = {"length": "L", "height": "H"}
 
 # Scenario 1 in full, the README's document; scenario 2 sets actuators.M = 30.
 _SCENARIO_1 = {
@@ -66,10 +65,9 @@ def _scenario_document(which: int) -> dict:
     return doc
 
 
-def _keys(cls):
-    """(document key, field) of each number a section's dataclass holds."""
-    return [(_KEYS.get(f.name, f.name), f) for f in fields(cls)
-            if f.init and f.name not in _SECTIONS]
+def _keyed_fields(cls):
+    """The fields a section's keys name: all but those holding a section."""
+    return [f for f in fields(cls) if f.init and f.name not in _SECTIONS]
 
 
 def dump_config(cfg: SimulationConfig) -> str:
@@ -79,7 +77,7 @@ def dump_config(cfg: SimulationConfig) -> str:
     doc = {}
     for section, cls in _SECTIONS.items():
         obj = objects[section] if section in objects else getattr(cfg, section)
-        doc[section] = {key: getattr(obj, f.name) for key, f in _keys(cls)}
+        doc[section] = {f.name: getattr(obj, f.name) for f in _keyed_fields(cls)}
     if math.isinf(doc["controller"]["u_max"]):  # JSON has no infinity
         doc["controller"]["u_max"] = None
     return json.dumps(doc, indent=2) + "\n"
@@ -120,18 +118,15 @@ def _errors_under(section):
     """Re-raise a dataclass's ValueError as a ConfigError on its document path.
 
     The dataclasses raise ValueError("<field>: <reason>"), and the path is
-    "<section>.<key>".  A field of another section's object, such as
-    "sensors.count" from SimulationConfig or "geometry.length" from Grid,
-    is reported under that section.
+    "<section>.<field>".  A dotted field, such as "sensors.count" from
+    SimulationConfig or "geometry.L" from Grid, is already a path.
     """
     try:
         yield
     except ValueError as exc:
         field, _, reason = str(exc).partition(": ")
-        head, _, rest = field.partition(".")
-        if rest:
-            section, field = head, rest
-        raise ConfigError(f"{section}.{_KEYS.get(field, field)}: {reason}") from exc
+        path = field if "." in field else f"{section}.{field}"
+        raise ConfigError(f"{path}: {reason}") from exc
 
 
 def parse_config(document: dict) -> SimulationConfig:
@@ -150,8 +145,8 @@ def parse_config(document: dict) -> SimulationConfig:
     objects = {}
     for section, cls in _SECTIONS.items():
         kwargs = {f.name: objects[f.name] for f in fields(cls) if f.name in _SECTIONS}
-        for key, f in _keys(cls):
-            kwargs[f.name] = _value(f"{section}.{key}", f, doc[section][key])
+        for f in _keyed_fields(cls):
+            kwargs[f.name] = _value(f"{section}.{f.name}", f, doc[section][f.name])
         with _errors_under(section):
             objects[section] = cls(**kwargs)
     return objects["time"]

@@ -99,7 +99,7 @@ def _weight_table(grid: Grid, spec: DeviceSpec, kind: str) -> np.ndarray:
     if spec.count > grid.J:
         raise ValueError(f"count: {spec.count} {kind}s on J = {grid.J} columns: "
                          "at least one covers no cell center")
-    edges = np.linspace(0.0, grid.geometry.length, spec.count + 1)[:, None]
+    edges = np.linspace(0.0, grid.geometry.L, spec.count + 1)[:, None]
     part = BoundaryPartition(edges[:-1], edges[1:])
     char = Characterization(spec.m, spec.M, spec.nu, part.midpoint)
     table = char.value(part, grid.x1_centers())

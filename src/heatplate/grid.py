@@ -21,18 +21,24 @@ from .material import ThermalMaterial
 MAX_FLOATS = sys.maxsize // 8
 
 
+def _invertible_square(size: float) -> bool:
+    """Whether size**2 and its reciprocal are both finite nonzero floats."""
+    square = size * size
+    return 0 < square < math.inf and 1 / square < math.inf
+
+
 @dataclass(frozen=True)
 class PlateGeometry:
-    """Rectangular side-view domain (0, length) x (0, height), in meters."""
+    """Rectangular side-view domain (0, L) x (0, H), in meters."""
 
-    length: float
-    height: float
+    L: float
+    H: float
 
     def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"length: must be > 0, got {self.length}")
-        if not self.height > 0:
-            raise ValueError(f"height: must be > 0, got {self.height}")
+        if not self.L > 0:
+            raise ValueError(f"L: must be > 0, got {self.L}")
+        if not self.H > 0:
+            raise ValueError(f"H: must be > 0, got {self.H}")
 
 
 @dataclass(frozen=True)
@@ -43,9 +49,9 @@ class Grid:
     the ghost-cell boundary substitution both need a distinct neighbor,
     and a field of J*K cells must fit one array, else the larger count (J on
     a tie) is rejected.
-    The stencil divides by the squared cell sizes, so each square must be
-    a finite nonzero float; one that is not is blamed on the cell count
-    when the length's own square is a finite nonzero float.
+    The stencil divides by the squared cell sizes, so each square and its
+    reciprocal must be finite nonzero floats; a cell size that fails is
+    blamed on the cell count when the length itself passes.
     """
 
     geometry: PlateGeometry
@@ -57,12 +63,15 @@ class Grid:
             raise ValueError(f"J: must be >= 2, got {self.J}")
         if self.K < 2:
             raise ValueError(f"K: must be >= 2, got {self.K}")
-        for name, count, dx in (("length", "J", self.dx1), ("height", "K", self.dx2)):
-            if not 0 < dx * dx < math.inf:
+        for name, count, dx in (("L", "J", self.dx1), ("H", "K", self.dx2)):
+            if not _invertible_square(dx):
                 size = getattr(self.geometry, name)
-                key = count if 0 < size * size < math.inf else f"geometry.{name}"
-                raise ValueError(f"{key}: cell size {dx:g} m has a "
-                                 f"square of {dx * dx:g}, outside (0, inf)")
+                key = count if _invertible_square(size) else f"geometry.{name}"
+                square = dx * dx
+                why = ("whose reciprocal overflows" if 0 < square < math.inf
+                       else "outside (0, inf)")
+                raise ValueError(f"{key}: cell size {dx:g} m has a square of "
+                                 f"{square:g}, {why}")
         if self.n_cells > MAX_FLOATS:
             key = "J" if self.J >= self.K else "K"
             raise ValueError(f"{key}: a {self.J} x {self.K} grid has more cells "
@@ -70,11 +79,11 @@ class Grid:
 
     @property
     def dx1(self) -> float:
-        return self.geometry.length / self.J
+        return self.geometry.L / self.J
 
     @property
     def dx2(self) -> float:
-        return self.geometry.height / self.K
+        return self.geometry.H / self.K
 
     @property
     def n_cells(self) -> int:

@@ -33,7 +33,9 @@ class ThermalMaterial:
         Upper end of the admissible temperature range; both property laws
         must stay positive on [0, theta_cap].  Affine laws make checking
         the interval endpoints sufficient.  theta_cap**4 must be finite, and
-        so must the kernel's rho*c0, rho*c1 and rho*c(theta_cap).
+        so must the kernel's rho*c0, rho*c1 and rho*c(theta_cap).  The kernel
+        divides by rho*c(theta), so rho*c0 and rho*c(theta_cap) must have
+        finite reciprocals too.
     """
 
     rho: float
@@ -61,10 +63,16 @@ class ThermalMaterial:
                     f"{slope}: {law} must stay positive on [0, {self.theta_cap}] K"
                 )
         rho_c0, rho_c1 = self.rho * self.c0, self.rho * self.c1
+        rho_c_cap = self.theta_cap * rho_c1 + rho_c0
         for name, product in (("rho*c0", rho_c0), ("rho*c1", rho_c1),
-                              ("rho*c(theta_cap)", self.theta_cap * rho_c1 + rho_c0)):
+                              ("rho*c(theta_cap)", rho_c_cap)):
             if not np.isfinite(product):
                 raise ValueError(f"rho: {name} must be a finite float, got {product}")
+        # rho*c(theta) is affine, so it is smallest at an end of [0, theta_cap]
+        for name, product in (("rho*c0", rho_c0), ("rho*c(theta_cap)", rho_c_cap)):
+            if not (product > 0 and 1 / product < np.inf):
+                raise ValueError(f"rho: {name} must have a finite reciprocal, "
+                                 f"got {product:g}")
 
     def thermal_conductivity(self, theta):
         """lambda(theta) = lambda0 + lambda1*theta, elementwise over arrays."""
@@ -85,7 +93,7 @@ class SurfaceExchange:
 
     h: float                          # heat-transfer coefficient, W/(m^2 K)
     emissivity: float                 # dimensionless, in [0, 1]
-    sigma: float = STEFAN_BOLTZMANN   # W/(m^2 K^4), configurable for tests
+    sigma: float = STEFAN_BOLTZMANN   # W/(m^2 K^4), set by every document
     theta_amb: float = 300.0          # ambient temperature, K
 
     def __post_init__(self):

@@ -87,6 +87,13 @@ class SimulationConfig:
             if not np.isfinite(phase).all():
                 raise ValueError(f"initial.{key}: the cosine phase must be finite "
                                  f"at every cell center, got {key} = {getattr(ic, key)}")
+        # An overflow or a division by zero leaves the advisory at 0 or inf.
+        with np.errstate(all="ignore"):
+            limit = stability_limit(self.grid, self.material, ic.base)
+        if not 0 < limit < math.inf:
+            raise ValueError(f"material.lambda0: the explicit stability limit at "
+                             f"{ic.base} K, 1/(2*lambda/(rho*c)*(1/dx1^2 + 1/dx2^2)),"
+                             f" is {limit:g} s, outside (0, inf)")
         # Looked up in the module at call time, where tracers wrap it.  The
         # banks check each count against the grid before the channel rules.
         object.__setattr__(self, "banks", build_banks(self))
@@ -124,9 +131,13 @@ class SimulationResult:
     signal_times: np.ndarray
     inputs: np.ndarray   # (n_logged, N_u)
     outputs: np.ndarray  # (n_logged, N_y)
-    diverged: bool = False
     divergence_step: int | None = None
     divergence_cell: int | None = None
+
+    @property
+    def diverged(self) -> bool:
+        """Whether the run halted early; derived from `divergence_step`."""
+        return self.divergence_step is not None
 
 
 @dataclass(frozen=True)
@@ -139,8 +150,8 @@ class TopsideStatistics:
 def _phases(grid: Grid, ic: InitialCondition) -> tuple[np.ndarray, np.ndarray]:
     """The cosine phases 2*pi*a1*x1/L and 2*pi*a2*x2/H at the cell centers."""
     with np.errstate(over="ignore"):  # an overflow is caught by the config
-        return (2 * np.pi * ic.a1 * grid.x1_centers() / grid.geometry.length,
-                2 * np.pi * ic.a2 * grid.x2_centers() / grid.geometry.height)
+        return (2 * np.pi * ic.a1 * grid.x1_centers() / grid.geometry.L,
+                2 * np.pi * ic.a2 * grid.x2_centers() / grid.geometry.H)
 
 
 def initial_field(grid: Grid, ic: InitialCondition) -> np.ndarray:
@@ -242,7 +253,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         signal_times=logged_steps[:logged] * cfg.dt,
         inputs=inputs[:logged],
         outputs=outputs[:logged],
-        diverged=divergence_step is not None,
         divergence_step=divergence_step,
         divergence_cell=divergence_cell,
     )

@@ -172,17 +172,16 @@ def step_forward_euler(field_values, rhs, dt: float, out=None) -> np.ndarray:
     return np.add(field_values, step, out=out)
 
 
-def worst_invalid_cell(field_values, theta_cap: float = np.inf) -> int | None:
+def worst_invalid_cell(field_values, theta_cap: float) -> int | None:
     """Flat index of the entry farthest outside [0, theta_cap], else None.
 
     Any entry outside marks a diverged explicit run: absolute temperatures
-    are non-negative by contract, and the material laws hold up to
-    theta_cap.  A non-finite entry counts as farthest out; ties go to the
-    lowest index.
+    are non-negative by contract, and the material laws hold up to the
+    finite cap theta_cap.  A non-finite entry counts as farthest out; ties
+    go to the lowest index.
     """
     theta = np.asarray(field_values, dtype=float)
-    with np.errstate(invalid="ignore"):  # inf - inf when theta_cap is inf
-        excess = np.maximum(-theta, theta - theta_cap)
+    excess = np.maximum(-theta, theta - theta_cap)
     excess[~np.isfinite(theta)] = np.inf
     worst = int(np.argmax(excess))
     return worst if excess[worst] > 0 else None

@@ -119,7 +119,7 @@ def decay_rate_error(preset, J):
     )
     result = run_simulation(cfg)
     assert not result.diverged
-    length = cfg.grid.geometry.length
+    length = cfg.grid.geometry.L
     mode = np.cos(2 * np.pi * 10.0 * cfg.grid.x1_centers() / length)
     times, amplitudes = [], []
     for t, snapshot in result.snapshots:

@@ -313,7 +313,8 @@ def test_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
 def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
     # caught as config errors, before the run's emission computes theta_amb**4,
     # its initial field takes the cosine of an infinite phase, rho*c(theta)
-    # overflows and freezes the plate, or a negative u_max makes heaters cool
+    # overflows and freezes the plate, a negative u_max makes heaters cool, or
+    # a stability advisory of 0 comes with a divergence at step 0
     path = tmp_path / "hot.json"
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
     for doc, message in (
@@ -333,7 +334,14 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
             ('{"material": {"c0": 1e308}}',
              "material.rho: rho*c0 must be a finite float, got inf"),
             ('{"controller": {"u_min": -5.0, "u_max": -1.0}}',
-             "controller.u_max: must be >= 0 (heaters cannot cool), got -1.0")):
+             "controller.u_max: must be >= 0 (heaters cannot cool), got -1.0"),
+            ('{"material": {"rho": 1e-320}}',
+             "material.rho: rho*c0 must have a finite reciprocal, got 3.29996e-318"),
+            ('{"material": {"rho": 1e-300, "c0": 1e-30, "c1": 0}}',
+             "material.rho: rho*c0 must have a finite reciprocal, got 0"),
+            ('{"geometry": {"L": 1e-154}}', "grid.J: cell size 1e-156 m"),
+            ('{"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}}',
+             "material.lambda0: the explicit stability limit at 300.0 K")):
         path.write_text(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -2,15 +2,23 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from heatplate import (ConfigError, dump_config, load_config, parse_config,
-                       proportional_law, scenario_preset)
+from heatplate import (ConfigError, ControllerConfig, DeviceSpec, Grid,
+                       InitialCondition, PlateGeometry, SimulationConfig,
+                       SurfaceExchange, ThermalMaterial, dump_config, load_config,
+                       parse_config, proportional_law, scenario_preset,
+                       stability_limit)
+from heatplate.config import _scenario_document
+
+# log-uniform over [1e-300, 1e300]
+LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
 
 
 class TestDefaults:
@@ -25,6 +33,19 @@ class TestDefaults:
         assert cfg.grid.J == 50
         assert cfg.grid.K == preset1.grid.K
         assert cfg.material == preset1.material
+
+    def test_document_keys_are_the_dataclass_fields(self):
+        # No rename table: a section's keys are its dataclass's init fields,
+        # in order, less those holding another section's object.
+        classes = {"geometry": PlateGeometry, "grid": Grid, "material": ThermalMaterial,
+                   "exchange": SurfaceExchange, "actuators": DeviceSpec,
+                   "sensors": DeviceSpec, "controller": ControllerConfig,
+                   "initial": InitialCondition, "time": SimulationConfig}
+        doc = _scenario_document(1)
+        assert list(doc) == list(classes)
+        for section, cls in classes.items():
+            names = [f.name for f in fields(cls) if f.init and f.name not in classes]
+            assert list(doc[section]) == names, section
 
 
 class TestValidation:
@@ -119,12 +140,45 @@ class TestValidation:
         # a count that cannot fit the grid is blamed on its own section
         ('{"actuators": {"count": 2e18}}',
          r"actuators\.count: 2000000000000000000 actuators on J = 100 columns"),
+        # the stability advisory would be 0: rho*c underflows, a cell's
+        # reciprocal square overflows, or the advisory's product overflows
+        ('{"material": {"rho": 1e-320}}',
+         r"material\.rho: rho\*c0 must have a finite reciprocal, got 3\.29996e-318$"),
+        ('{"material": {"rho": 1e-300, "c0": 1e-30, "c1": 0}}',
+         r"material\.rho: rho\*c0 must have a finite reciprocal, got 0$"),
+        ('{"geometry": {"L": 1e-154}}', r"grid\.J: cell size 1e-156 m has a square "
+                                        r"of 1e-312, whose reciprocal overflows$"),
+        ('{"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}}',
+         r"material\.lambda0: the explicit stability limit at 300\.0 K, .* is 0 s"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConfigError, match=path):
                 load_config(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.fixed_dictionaries({
+        "material": st.fixed_dictionaries(
+            {"rho": LOG_UNIFORM, "c0": LOG_UNIFORM, "lambda0": LOG_UNIFORM}),
+        "geometry": st.fixed_dictionaries({"L": LOG_UNIFORM, "H": LOG_UNIFORM}),
+        "grid": st.fixed_dictionaries({"J": st.integers(5, 8), "K": st.integers(2, 8)}),
+    }))
+    @example(doc={"material": {"rho": 1e-320}})
+    @example(doc={"material": {"rho": 1e-300, "c0": 1e-30, "c1": 0}})
+    @example(doc={"geometry": {"L": 1e-154}})
+    @example(doc={"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}})
+    def test_accepted_configs_have_a_finite_positive_stability_limit(self, doc):
+        # Builds configs only.  A config that parses must give the advisory
+        # that check prints a value in (0, inf), and raise no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                cfg = parse_config(doc)
+            except ConfigError:
+                return
+            limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
+        assert 0 < limit < math.inf
 
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, values in

@@ -16,6 +16,12 @@ def partitions(length, count):
     return [BoundaryPartition(edges[n], edges[n + 1]) for n in range(count)]
 
 
+def makes_a_cell(size):
+    """Whether a grid accepts a cell of this size: its square and the
+    square's reciprocal are finite nonzero floats."""
+    return 0 < size * size < math.inf and 1 / (size * size) < math.inf
+
+
 def per_device_table(grid, spec, kind):
     """The weight table built one device at a time, with scalar intervals.
 
@@ -24,7 +30,7 @@ def per_device_table(grid, spec, kind):
     """
     x = grid.x1_centers()
     table = np.empty((spec.count, grid.J))
-    for n, part in enumerate(partitions(grid.geometry.length, spec.count)):
+    for n, part in enumerate(partitions(grid.geometry.L, spec.count)):
         char = Characterization(spec.m, spec.M, spec.nu, part.midpoint)
         table[n] = char.value(part, x)
         if not table[n].any():
@@ -151,7 +157,7 @@ class TestActuatorBank:
         # the per-device loop, wherever the bank fits its grid.
         count = data.draw(st.integers(1, J), label="count")
         dx = length / J
-        assume(0 < dx * dx < math.inf and not (nu == 0 and M == 0))
+        assume(makes_a_cell(dx) and not (nu == 0 and M == 0))
         g = Grid(PlateGeometry(length, 0.01), J=J, K=2)
         spec = DeviceSpec(count, m=m, M=M, nu=nu)
 
@@ -173,12 +179,12 @@ class TestActuatorBank:
         # Every cell center lies in exactly one half-open interval, so a
         # flat bank's columns each sum to one; with count <= J every
         # interval is at least a cell wide and holds a center, and with
-        # count > J some interval must hold none.  A cell width whose square
-        # is not a finite nonzero float makes no grid: the error names J
-        # when the length's own square is finite and nonzero, else the length.
+        # count > J some interval must hold none.  A cell width whose square,
+        # or that square's reciprocal, is not a finite nonzero float makes no
+        # grid: the error names J when the length itself passes, else the length.
         dx = length / J
-        if not 0 < dx * dx < math.inf:
-            key = "J" if 0 < length * length < math.inf else "geometry.length"
+        if not makes_a_cell(dx):
+            key = "J" if makes_a_cell(length) else "geometry.L"
             with pytest.raises(ValueError, match=f"^{key}: cell size"):
                 Grid(PlateGeometry(length, 0.01), J=J, K=2)
             return

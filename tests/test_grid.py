@@ -29,12 +29,16 @@ def test_rejects_too_few_cells(J, K):
 @pytest.mark.parametrize("L,H,J,K,key", [
     (0.30, 0.01, 10 ** 300, 2, "J"),
     (0.30, 0.01, 2, 10 ** 300, "K"),
-    (1e-161, 0.01, 100, 2, "J"),   # the length's square is a nonzero subnormal
-    (1e-170, 0.01, 2, 2, "geometry.length"),
-    (0.30, 1e300, 2, 2, "geometry.height"),
+    # the cell's square 1e-312 is nonzero, but its reciprocal overflows
+    (1e-154, 0.01, 100, 2, "J"),
+    # the length's own square 1e-322 has a reciprocal that overflows
+    (1e-161, 0.01, 100, 2, "geometry.L"),
+    (1e-170, 0.01, 2, 2, "geometry.L"),
+    (0.30, 1e300, 2, 2, "geometry.H"),
 ])
 def test_cell_size_without_a_finite_nonzero_square(L, H, J, K, key):
-    # blamed on the count unless the length's own square is out of range
+    # blamed on the count unless the length itself fails the same rule: its
+    # square and that square's reciprocal must be finite nonzero floats
     with pytest.raises(ValueError, match=f"^{key}: cell size"):
         Grid(PlateGeometry(L, H), J=J, K=K)
 
@@ -59,13 +63,13 @@ class TestFlatIndex:
 
 
 def test_spacing_times_count_recovers_extent(grid):
-    assert grid.dx1 * grid.J == pytest.approx(grid.geometry.length, rel=1e-12)
-    assert grid.dx2 * grid.K == pytest.approx(grid.geometry.height, rel=1e-12)
+    assert grid.dx1 * grid.J == pytest.approx(grid.geometry.L, rel=1e-12)
+    assert grid.dx2 * grid.K == pytest.approx(grid.geometry.H, rel=1e-12)
 
 
 def test_cell_areas_tile_the_plate(grid):
     total = grid.n_cells * grid.dx1 * grid.dx2
-    expected = grid.geometry.length * grid.geometry.height
+    expected = grid.geometry.L * grid.geometry.H
     assert total == pytest.approx(expected, rel=1e-12)
 
 

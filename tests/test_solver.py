@@ -399,7 +399,7 @@ class TestStepForwardEuler:
                 fl = boundary_fluxes(field, grid, exchange, bank, np.full(5, 1e6))
                 rhs = assemble_rhs(field, grid, material, fl)
                 field = step_forward_euler(field, rhs, dt)
-                if worst_invalid_cell(field) is not None:
+                if worst_invalid_cell(field, material.theta_cap) is not None:
                     diverged_at = step
                     break
         assert diverged_at is not None
@@ -407,25 +407,25 @@ class TestStepForwardEuler:
 
 class TestFirstInvalidCell:
     def test_clean_field(self, grid):
-        assert worst_invalid_cell(np.full(grid.n_cells, 300.0)) is None
+        assert worst_invalid_cell(np.full(grid.n_cells, 300.0), 3000.0) is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_flags_first_offender(self, grid, bad):
         field = np.full(grid.n_cells, 300.0)
         field[17] = bad
-        assert worst_invalid_cell(field) == 17
+        assert worst_invalid_cell(field, 3000.0) == 17
 
     def test_upper_bound(self, grid):
         field = np.full(grid.n_cells, 300.0)
         field[[23, 40]] = 3000.5
-        assert worst_invalid_cell(field) is None
+        assert worst_invalid_cell(field, 3001.0) is None
         assert worst_invalid_cell(field, 3000.5) is None
         assert worst_invalid_cell(field, 3000.0) == 23
 
     def test_farthest_offender_wins(self, grid):
         field = np.full(grid.n_cells, 300.0)
         field[[5, 64]] = -60.0, -176.0
-        assert worst_invalid_cell(field) == 64
+        assert worst_invalid_cell(field, 3000.0) == 64
         field[70] = 3176.5  # farther above the cap than 64 is below zero
         assert worst_invalid_cell(field, 3000.0) == 70
         field[90] = np.nan  # a non-finite entry beats any finite one
@@ -451,7 +451,7 @@ class TestWeightedRhsSum:
         fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.full(5, p))
         rhs = assemble_rhs(field, grid, material, fl)
         total = weighted_rhs_sum(field, rhs, grid, material)
-        assert total == pytest.approx(p * grid.geometry.length, rel=1e-12)
+        assert total == pytest.approx(p * grid.geometry.L, rel=1e-12)
 
     def test_single_hot_cell_telescopes(self, material):
         g = Grid(PlateGeometry(0.1, 0.1), J=5, K=5)
