@@ -18,7 +18,7 @@ from dataclasses import fields
 from .control import ControllerConfig
 from .devices import DeviceSpec
 from .grid import Grid, PlateGeometry
-from .material import SurfaceExchange, ThermalMaterial
+from .material import STEFAN_BOLTZMANN, SurfaceExchange, ThermalMaterial
 from .simulation import InitialCondition, SimulationConfig
 
 
@@ -47,7 +47,8 @@ _SCENARIO_1 = {
     "grid": {"J": 100, "K": 40},
     "material": {"rho": 7800.0, "c0": 330.0, "c1": 0.4, "lambda0": 10.0,
                  "lambda1": 0.1, "theta_cap": 3000.0},
-    "exchange": {"h": 10.0, "emissivity": 0.6, "sigma": 5.67e-8, "theta_amb": 300.0},
+    "exchange": {"h": 10.0, "emissivity": 0.6, "sigma": STEFAN_BOLTZMANN,
+                 "theta_amb": 300.0},
     "actuators": {"count": 5, "m": 1.0, "M": 0.0, "nu": 4.0},
     "sensors": {"count": 5, "m": 1.0, "M": 10.0, "nu": 4.0},
     "controller": {"kp": 10000.0, "y_ref": 400.0, "u_min": 0.0, "u_max": None},

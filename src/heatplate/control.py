@@ -35,6 +35,10 @@ class ControllerConfig:
             raise ValueError("kp: all gains must be >= 0")
         if self.y_ref < 0:
             raise ValueError(f"y_ref: must be >= 0, got {self.y_ref}")
+        # In a run 0 < e <= y_ref, and the law forms kp*e before it clamps.
+        if not float(self._gains.max(initial=0.0)) * self.y_ref < math.inf:
+            raise ValueError(f"kp: kp * y_ref must be a finite float, got kp = "
+                             f"{self._gains.max():g} and y_ref = {self.y_ref}")
         if not self.u_max >= 0:
             raise ValueError(f"u_max: must be >= 0 (heaters cannot cool), "
                              f"got {self.u_max}")

@@ -168,5 +168,5 @@ class SensorBank:
             raise ValueError(
                 f"expected a field of {grid.n_cells} cells, got {field_values.shape}"
             )
-        top_row = field_values[(grid.K - 1) * grid.J:]
+        top_row = field_values[-grid.J:]
         return (self.weight_table @ top_row) * grid.dx1 / self.mass

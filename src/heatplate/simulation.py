@@ -107,6 +107,28 @@ class SimulationConfig:
                 "sensors.count: channel pairing needs equal counts, got "
                 f"{self.sensors.count} sensors and {self.actuators.count} actuators"
             )
+        # A boundary cell adds each boundary flux over the cell size normal
+        # to it, a corner cell one per axis.  Emission is monotone in theta,
+        # so it peaks in size at 0 K or theta_cap; the law commands at most
+        # max(kp*y_ref, u_min), clamped to u_max, on any channel.
+        ex, ctl, dx1, dx2 = self.exchange, self.controller, self.grid.dx1, self.grid.dx2
+        with np.errstate(over="ignore"):
+            emission = float(np.abs(ex.emitted_flux(np.array([0.0, cap]))).max())
+        if not emission / dx1 + emission / dx2 < math.inf:
+            key = "h" if ex.h * cap >= ex.emissivity * ex.sigma * cap**4 else "sigma"
+            raise ValueError(f"exchange.{key}: the emitted flux reaches {emission:g} "
+                             f"W/m^2 on [0, {cap}] K; a corner cell's "
+                             "|phi|/dx1 + |phi|/dx2 must be finite")
+        command, key = float(np.max(ctl.kp, initial=0.0)) * ctl.y_ref, "kp"
+        if ctl.u_min > command:
+            command, key = ctl.u_min, "u_min"
+        if ctl.u_max < command:
+            command, key = ctl.u_max, "u_max"
+        if not (command / dx2 + emission / dx1 < math.inf
+                and command * self.actuators.count < math.inf):
+            raise ValueError(f"controller.{key}: a heater command of up to {command:g} "
+                             "W/m^2 must keep a corner cell's u/dx2 + |phi|/dx1 and "
+                             f"its sum over {self.actuators.count} channels finite")
 
     def n_steps(self) -> int:
         """Number of Euler steps; t_final is a whole multiple of dt."""
@@ -273,7 +295,7 @@ def topside_statistics(result: SimulationResult) -> TopsideStatistics:
     row; ties break toward the lower index.
     """
     grid = result.config.grid
-    row = result.final_field[(grid.K - 1) * grid.J:]
+    row = result.final_field[-grid.J:]
     mean = float(row.mean())
     spectrum = np.abs(np.fft.rfft(row - mean))
     # argmax returns the first maximizer, which is the lower index on ties

@@ -21,7 +21,6 @@ are those of a fresh temporary per operation, so the bits are the same.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -87,16 +86,6 @@ class RhsBuffers:
         self.underside, self.top = self.rate[:J], self.rate[-J:]
 
 
-@cache
-def _edge_cells(grid: Grid) -> np.ndarray:
-    """Flat indices of the left column, the right column and the topside row."""
-    rows = np.arange(grid.K) * grid.J
-    cells = np.concatenate((rows, rows + grid.J - 1,
-                            np.arange(rows[-1], rows[-1] + grid.J)))
-    cells.flags.writeable = False
-    return cells
-
-
 def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
                     actuators: ActuatorBank, u) -> BoundaryFluxes:
     """Evaluate all boundary fluxes for the current field and inputs.
@@ -104,10 +93,12 @@ def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
     Emission is evaluated at the boundary cell's center temperature.  The
     underside receives the induced actuator flux only.
     """
+    J, K = grid.J, grid.K
     theta = np.asarray(field_values).reshape(grid.n_cells)
     phi_in = actuators.induced_flux(u)
-    emitted = exchange.emitted_flux(theta[_edge_cells(grid)])
-    K = grid.K
+    # The left column, right column and topside row, as RhsBuffers slices them
+    emitted = exchange.emitted_flux(
+        np.concatenate((theta[::J], theta[J - 1::J], theta[-J:])))
     return BoundaryFluxes(underside=phi_in, left=emitted[:K],
                           right=emitted[K:2 * K], top=emitted[2 * K:])
 

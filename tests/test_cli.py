@@ -128,6 +128,19 @@ def test_run_unstable_dt_exits_1(tmp_path, capsys):
     assert (tmp_path / "x" / "final_field.csv").exists()
 
 
+def test_stiff_emission_that_stays_finite_diverges(tmp_path, capsys):
+    # each boundary term fits a float, so this is an explicit-Euler
+    # divergence, reported with exit 1, not a config error
+    path = tmp_path / "stiff.json"
+    path.write_text('{"exchange": {"h": 1e300}, "time": {"t_final": 0.002}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert ("DIVERGED at step 0 (t = 0.001 s), cell (j, k) = (0, 39), "
+            "theta = -3.2467e+294 K") in capsys.readouterr().err
+
+
 def test_run_parses_the_document_once(tiny_config_path, tmp_path, monkeypatch):
     counts = {"parse": 0, "banks": 0}
 
@@ -314,7 +327,8 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
     # caught as config errors, before the run's emission computes theta_amb**4,
     # its initial field takes the cosine of an infinite phase, rho*c(theta)
     # overflows and freezes the plate, a negative u_max makes heaters cool, or
-    # a stability advisory of 0 comes with a divergence at step 0
+    # a stability advisory of 0 comes with a divergence at step 0, or a
+    # boundary flux or heater command overflows once divided by a cell size
     path = tmp_path / "hot.json"
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
     for doc, message in (
@@ -341,7 +355,21 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
              "material.rho: rho*c0 must have a finite reciprocal, got 0"),
             ('{"geometry": {"L": 1e-154}}', "grid.J: cell size 1e-156 m"),
             ('{"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}}',
-             "material.lambda0: the explicit stability limit at 300.0 K")):
+             "material.lambda0: the explicit stability limit at 300.0 K"),
+            ('{"exchange": {"h": 1e308}, "time": {"t_final": 0.002}}',
+             "exchange.h: the emitted flux reaches inf W/m^2 on [0, 3000.0] K"),
+            ('{"exchange": {"sigma": 1e300}, "time": {"t_final": 0.002}}',
+             "exchange.sigma: the emitted flux reaches inf W/m^2"),
+            ('{"controller": {"kp": 1e308}, "time": {"t_final": 0.002}}',
+             "controller.kp: kp * y_ref must be a finite float, got kp = 1e+308"),
+            ('{"controller": {"kp": 1e306}, "time": {"t_final": 0.002}}',
+             "controller.kp: kp * y_ref must be a finite float, got kp = 1e+306"),
+            ('{"controller": {"kp": 1e305}, "time": {"t_final": 0.002}}',
+             "controller.kp: a heater command of up to 4e+307 W/m^2"),
+            ('{"controller": {"kp": 1e308, "u_max": 1e5}, "time": {"t_final": 0.002}}',
+             "controller.kp: kp * y_ref must be a finite float"),
+            ('{"controller": {"kp": 1e305, "u_max": 1e307}, "time": {"t_final": 0.002}}',
+             "controller.u_max: a heater command of up to 1e+307 W/m^2")):
         path.write_text(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 from heatplate import (ConfigError, ControllerConfig, DeviceSpec, Grid,
                        InitialCondition, PlateGeometry, SimulationConfig,
                        SurfaceExchange, ThermalMaterial, dump_config, load_config,
-                       parse_config, proportional_law, scenario_preset,
-                       stability_limit)
+                       parse_config, proportional_law, run_simulation,
+                       scenario_preset, stability_limit, write_run_outputs)
 from heatplate.config import _scenario_document
 
 # log-uniform over [1e-300, 1e300]
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
+# log-uniform over [1e-300, 1e308]
+WIDE_LOG_UNIFORM = st.floats(-300.0, 308.0).map(lambda exponent: 10.0 ** exponent)
 
 
 class TestDefaults:
@@ -150,6 +153,24 @@ class TestValidation:
                                         r"of 1e-312, whose reciprocal overflows$"),
         ('{"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}}',
          r"material\.lambda0: the explicit stability limit at 300\.0 K, .* is 0 s"),
+        # a boundary flux or heater command that overflows once divided by
+        # the cell size, or a gain whose kp * y_ref overflows before the clamp
+        ('{"exchange": {"h": 1e308}, "time": {"t_final": 0.002}}',
+         r"exchange\.h: the emitted flux reaches inf W/m\^2 on \[0, 3000\.0\] K"),
+        ('{"exchange": {"sigma": 1e300}, "time": {"t_final": 0.002}}',
+         r"exchange\.sigma: the emitted flux reaches inf W/m\^2"),
+        ('{"controller": {"kp": 1e308}, "time": {"t_final": 0.002}}',
+         r"controller\.kp: kp \* y_ref must be a finite float, got kp = 1e\+308"),
+        ('{"controller": {"kp": 1e306}, "time": {"t_final": 0.002}}',
+         r"controller\.kp: kp \* y_ref must be a finite float, got kp = 1e\+306"),
+        ('{"controller": {"kp": 1e305}, "time": {"t_final": 0.002}}',
+         r"controller\.kp: a heater command of up to 4e\+307 W/m\^2"),
+        ('{"controller": {"kp": 1e308, "u_max": 1e5}, "time": {"t_final": 0.002}}',
+         r"controller\.kp: kp \* y_ref must be a finite float"),
+        ('{"controller": {"kp": 1e305, "u_max": 1e307}, "time": {"t_final": 0.002}}',
+         r"controller\.u_max: a heater command of up to 1e\+307 W/m\^2"),
+        ('{"controller": {"kp": 0, "u_min": 1e307}, "time": {"t_final": 0.002}}',
+         r"controller\.u_min: a heater command of up to 1e\+307 W/m\^2"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with warnings.catch_warnings():
@@ -179,6 +200,34 @@ class TestValidation:
                 return
             limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
         assert 0 < limit < math.inf
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=st.fixed_dictionaries({
+        "exchange": st.fixed_dictionaries({"h": WIDE_LOG_UNIFORM,
+                                           "sigma": WIDE_LOG_UNIFORM}),
+        "controller": st.fixed_dictionaries({
+            "kp": WIDE_LOG_UNIFORM, "u_max": st.none() | WIDE_LOG_UNIFORM}),
+    }))
+    @example(doc={"exchange": {"h": 1e308}})
+    @example(doc={"exchange": {"sigma": 1e300}})
+    @example(doc={"controller": {"kp": 1e308}})
+    @example(doc={"controller": {"kp": 1e306}})
+    @example(doc={"controller": {"kp": 1e305}})
+    @example(doc={"controller": {"kp": 1e308, "u_max": 1e5}})
+    @example(doc={"controller": {"kp": 1e305, "u_max": 1e307}})
+    @example(doc={"exchange": {"h": 1e300}})  # accepted: diverges at step 0
+    def test_accepted_boundary_terms_run_and_write_without_overflow(self, doc):
+        # Scenario 1 at 100x40 for two steps.  A config that parses runs and
+        # writes its outputs with no RuntimeWarning, diverged or not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                cfg = parse_config({**doc, "time": {"t_final": 0.002}})
+            except ConfigError:
+                return
+            result = run_simulation(cfg)
+            with tempfile.TemporaryDirectory() as out:
+                write_run_outputs(result, out)
 
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, values in

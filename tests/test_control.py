@@ -76,6 +76,14 @@ class TestControllerConfig:
             ControllerConfig(kp=1.0, y_ref=400.0, u_min=-5.0, u_max=-1.0)
         assert ControllerConfig(kp=1.0, y_ref=400.0, u_min=-5.0, u_max=0.0).u_max == 0.0
 
+    def test_rejects_a_gain_whose_command_can_overflow(self):
+        # in a run 0 < e <= y_ref, and the law forms kp*e before it clamps
+        with pytest.raises(ValueError, match=r"^kp: kp \* y_ref must be a finite "
+                                             r"float, got kp = 1e\+307 and y_ref = 400"):
+            ControllerConfig(kp=(1.0, 1e307), y_ref=400.0, u_max=1e5)
+        assert ControllerConfig(kp=1e307, y_ref=10.0).kp == 1e307
+        assert ControllerConfig(kp=(), y_ref=400.0).channels == 0
+
 
 class TestOneGain:
     def test_one_gain_serves_any_channel_count(self):

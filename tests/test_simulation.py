@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +207,17 @@ class TestRunSimulation:
         assert len(calls) == 3
         assert wider.banks[0].weight_table.shape == (5, 40)
         assert len(calls) == 3
+
+    def test_a_run_keeps_no_reference_to_its_grid(self):
+        # A grid no other test builds: a cache holding an equal grid built
+        # earlier would keep that one as its key and mask a leak of this one.
+        grid = Grid(PlateGeometry(0.30, 0.01), J=43, K=13)
+        alive = weakref.ref(grid)
+        cfg = short_config(grid=grid, t_final=0.002)
+        run_simulation(cfg)
+        del grid, cfg
+        gc.collect()
+        assert alive() is None
 
     def test_config_checks_its_banks_when_made(self, preset1):
         # five heater intervals on three columns: interval 1, [0.06, 0.12),
