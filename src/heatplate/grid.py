@@ -49,9 +49,9 @@ class Grid:
     the ghost-cell boundary substitution both need a distinct neighbor,
     and a field of J*K cells must fit one array, else the larger count (J on
     a tie) is rejected.
-    The stencil divides by the squared cell sizes, so each square and its
-    reciprocal must be finite nonzero floats; a cell size that fails is
-    blamed on the cell count when the length itself passes.
+    The stability advisory divides by the squared cell sizes in Python
+    floats, so each square and its reciprocal must be finite and nonzero; a
+    cell size that fails is blamed on the count when the length passes.
     """
 
     geometry: PlateGeometry

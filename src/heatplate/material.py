@@ -7,14 +7,11 @@ linear convection plus fourth-power radiation against a fixed ambient.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 STEFAN_BOLTZMANN = 5.67e-8  # W/(m^2 K^4)
-# theta**4 is a finite float for every theta below this, and overflows at it
-_FOURTH_ROOT_MAX = sys.float_info.max ** 0.25
 
 
 @dataclass(frozen=True)
@@ -32,10 +29,7 @@ class ThermalMaterial:
     theta_cap : float
         Upper end of the admissible temperature range; both property laws
         must stay positive on [0, theta_cap].  Affine laws make checking
-        the interval endpoints sufficient.  theta_cap**4 must be finite, and
-        so must the kernel's rho*c0, rho*c1 and rho*c(theta_cap).  The kernel
-        divides by rho*c(theta), so rho*c0 and rho*c(theta_cap) must have
-        finite reciprocals too.
+        the interval endpoints sufficient.
     """
 
     rho: float
@@ -50,9 +44,6 @@ class ThermalMaterial:
             raise ValueError(f"rho: must be > 0, got {self.rho}")
         if not self.theta_cap > 0:
             raise ValueError(f"theta_cap: must be > 0, got {self.theta_cap}")
-        if not self.theta_cap < _FOURTH_ROOT_MAX:
-            raise ValueError(f"theta_cap: theta_cap**4 must be a finite float, "
-                             f"got theta_cap = {self.theta_cap}")
         for law, offset, slope in (("heat capacity", "c0", "c1"),
                                    ("thermal conductivity", "lambda0", "lambda1")):
             v0, v1 = getattr(self, offset), getattr(self, slope)
@@ -62,17 +53,6 @@ class ThermalMaterial:
                 raise ValueError(
                     f"{slope}: {law} must stay positive on [0, {self.theta_cap}] K"
                 )
-        rho_c0, rho_c1 = self.rho * self.c0, self.rho * self.c1
-        rho_c_cap = self.theta_cap * rho_c1 + rho_c0
-        for name, product in (("rho*c0", rho_c0), ("rho*c1", rho_c1),
-                              ("rho*c(theta_cap)", rho_c_cap)):
-            if not np.isfinite(product):
-                raise ValueError(f"rho: {name} must be a finite float, got {product}")
-        # rho*c(theta) is affine, so it is smallest at an end of [0, theta_cap]
-        for name, product in (("rho*c0", rho_c0), ("rho*c(theta_cap)", rho_c_cap)):
-            if not (product > 0 and 1 / product < np.inf):
-                raise ValueError(f"rho: {name} must have a finite reciprocal, "
-                                 f"got {product:g}")
 
     def thermal_conductivity(self, theta):
         """lambda(theta) = lambda0 + lambda1*theta, elementwise over arrays."""

@@ -19,7 +19,7 @@ from .devices import ActuatorBank, DeviceSpec, SensorBank
 from .grid import Grid, stability_limit
 from .material import SurfaceExchange, ThermalMaterial
 from .solver import (RhsBuffers, aligned_empty, assemble_rhs, boundary_fluxes,
-                     step_forward_euler, worst_invalid_cell)
+                     check_admissible, step_forward_euler, worst_invalid_cell)
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,6 @@ class SimulationConfig:
             if not np.isfinite(phase).all():
                 raise ValueError(f"initial.{key}: the cosine phase must be finite "
                                  f"at every cell center, got {key} = {getattr(ic, key)}")
-        # An overflow or a division by zero leaves the advisory at 0 or inf.
-        with np.errstate(all="ignore"):
-            limit = stability_limit(self.grid, self.material, ic.base)
-        if not 0 < limit < math.inf:
-            raise ValueError(f"material.lambda0: the explicit stability limit at "
-                             f"{ic.base} K, 1/(2*lambda/(rho*c)*(1/dx1^2 + 1/dx2^2)),"
-                             f" is {limit:g} s, outside (0, inf)")
         # Looked up in the module at call time, where tracers wrap it.  The
         # banks check each count against the grid before the channel rules.
         object.__setattr__(self, "banks", build_banks(self))
@@ -107,28 +100,15 @@ class SimulationConfig:
                 "sensors.count: channel pairing needs equal counts, got "
                 f"{self.sensors.count} sensors and {self.actuators.count} actuators"
             )
-        # A boundary cell adds each boundary flux over the cell size normal
-        # to it, a corner cell one per axis.  Emission is monotone in theta,
-        # so it peaks in size at 0 K or theta_cap; the law commands at most
-        # max(kp*y_ref, u_min), clamped to u_max, on any channel.
-        ex, ctl, dx1, dx2 = self.exchange, self.controller, self.grid.dx1, self.grid.dx2
-        with np.errstate(over="ignore"):
-            emission = float(np.abs(ex.emitted_flux(np.array([0.0, cap]))).max())
-        if not emission / dx1 + emission / dx2 < math.inf:
-            key = "h" if ex.h * cap >= ex.emissivity * ex.sigma * cap**4 else "sigma"
-            raise ValueError(f"exchange.{key}: the emitted flux reaches {emission:g} "
-                             f"W/m^2 on [0, {cap}] K; a corner cell's "
-                             "|phi|/dx1 + |phi|/dx2 must be finite")
-        command, key = float(np.max(ctl.kp, initial=0.0)) * ctl.y_ref, "kp"
-        if ctl.u_min > command:
-            command, key = ctl.u_min, "u_min"
-        if ctl.u_max < command:
-            command, key = ctl.u_max, "u_max"
-        if not (command / dx2 + emission / dx1 < math.inf
-                and command * self.actuators.count < math.inf):
-            raise ValueError(f"controller.{key}: a heater command of up to {command:g} "
-                             "W/m^2 must keep a corner cell's u/dx2 + |phi|/dx1 and "
-                             f"its sum over {self.actuators.count} channels finite")
+        check_admissible(self.grid, self.material, self.exchange, self.controller,
+                         self.banks[0], self.dt)
+        # An underflow that the probe cannot see leaves the advisory at 0 or inf.
+        with np.errstate(all="ignore"):
+            limit = stability_limit(self.grid, self.material, ic.base)
+        if not 0 < limit < math.inf:
+            raise ValueError(f"material.lambda0: the explicit stability limit at "
+                             f"{ic.base} K, 1/(2*lambda/(rho*c)*(1/dx1^2 + 1/dx2^2)),"
+                             f" is {limit:g} s, outside (0, inf)")
 
     def n_steps(self) -> int:
         """Number of Euler steps; t_final is a whole multiple of dt."""

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank
-from .grid import Grid
+from .grid import Grid, PlateGeometry
 from .material import SurfaceExchange, ThermalMaterial
 
 
@@ -161,6 +162,56 @@ def step_forward_euler(field_values, rhs, dt: float, out=None) -> np.ndarray:
         raise ValueError(f"dt must be > 0, got {dt}")
     step = np.multiply(dt, rhs, out=out)
     return np.add(field_values, step, out=out)
+
+
+def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExchange,
+                     controller: ControllerConfig, actuators: ActuatorBank, dt: float):
+    """Raise ValueError("<section>.<key>: ...") if one kernel step faults where the
+    monotone laws give every flux its peak: on the 0 K / theta_cap checkerboards
+    of up to 4 x 4 of the grid's cells, with heat on the cells at 0 K."""
+    cap, ends = material.theta_cap, np.array([0.0, material.theta_cap])
+
+    def finite(key, stage, fn, *args):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                value = fn(*args)
+            if not np.isfinite(value).all():
+                raise FloatingPointError("not a finite float")
+        except ArithmeticError as exc:  # numpy's FloatingPointError or Python's
+            raise ValueError(f"{key}: {stage} on [0, {cap}] K faults: {exc}") from exc
+        return value
+
+    u = finite("controller.kp", "the command at e = y_ref", proportional_law,
+               controller, np.full(actuators.count, controller.y_ref))
+    top, heat = u.max(), actuators.weight_table.max() * u.max()
+    command = ("controller.u_max" if top == controller.u_max else
+               "controller.u_min" if top == controller.u_min else "controller.kp")
+    finite(command, "the mean command", u.mean)
+    finite("material.rho", "rho*c", material.volumetric_heat_coefficient, ends)
+    with np.errstate(all="ignore"):  # cap**4 as a Python float would raise
+        fourth = np.float64(cap) ** 4
+        radiates = exchange.emissivity * exchange.sigma * fourth > exchange.h * cap
+    emission = ("material.theta_cap" if fourth == np.inf
+                else "exchange.sigma" if radiates else "exchange.h")
+    phi = finite(emission, "the emitted flux", exchange.emitted_flux, ends)
+
+    J, K = min(grid.J, 4), min(grid.K, 4)  # 4*dx/4 == dx, but 3*dx/3 need not be
+    plate = Grid(PlateGeometry(grid.geometry.L if grid.J <= 4 else 4 * grid.dx1,
+                               grid.geometry.H if grid.K <= 4 else 4 * grid.dx2), J, K)
+
+    def rates(hot, phi=0 * ends, heat=0):  # hot: 1 at theta_cap, 0 at 0 K
+        return assemble_rhs(cap * hot, plate, material, BoundaryFluxes(
+            heat * (1 - hot[:J]), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]]))
+
+    for hot in np.indices((2, K, J)).sum(axis=0).reshape(2, -1) % 2:
+        try:
+            rate = finite(command, "the rates with heating", rates, hot, phi, heat)
+        except ValueError:  # each term adds with the cell's sign: blame the first
+            finite("material.lambda1" if material.lambda1 * cap > 2 * material.lambda0
+                   else "material.lambda0", "the conduction rates", rates, hot)
+            finite(emission, "the rates with emission", rates, hot, phi)
+            raise
+        finite("time.dt", "the Euler step", step_forward_euler, cap * hot, rate, dt)
 
 
 def worst_invalid_cell(field_values, theta_cap: float) -> int | None:

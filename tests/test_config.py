@@ -22,6 +22,20 @@ from heatplate.config import _scenario_document
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
 # log-uniform over [1e-300, 1e308]
 WIDE_LOG_UNIFORM = st.floats(-300.0, 308.0).map(lambda exponent: 10.0 ** exponent)
+# Every float key of the document (u_max is null by default); t_final
+# follows dt, and the integer keys stay small.
+FLOAT_KEYS = [(section, key) for section, values in _scenario_document(1).items()
+              for key, value in values.items()
+              if key != "t_final" and (isinstance(value, float) or value is None)]
+
+
+def _small_document(values, J, K):
+    """A J x K document of two steps with `values` set, {(section, key): value}."""
+    doc = {"grid": {"J": J, "K": K}}
+    for (section, key), value in values.items():
+        doc.setdefault(section, {})[key] = value
+    dt = doc.pop("time", {}).get("dt", 1e-3)
+    return {**doc, "time": {"dt": dt, "t_final": 2 * dt}}
 
 
 class TestDefaults:
@@ -103,10 +117,15 @@ class TestValidation:
         ('{"time": {"t_final": -1}}', r"time\.t_final"),
         ('{"time": {"signal_stride": 0}}', r"time\.signal_stride"),
         ('{"material": {"theta_cap": 0}}', r"material\.theta_cap"),
-        # a cap whose fourth power overflows, with an ambient below it
+        # The kernel's one-step probe names the key of the stage that
+        # faults.  A cap whose fourth power overflows, with an ambient below
+        # it; the largest cap whose fourth power is finite passes.
         ('{"material": {"theta_cap": 1e80}, "exchange": {"theta_amb": 1e79}, '
          '"time": {"t_final": 0.002}}',
-         r"material\.theta_cap: theta_cap\*\*4 must be a finite float"),
+         r"material\.theta_cap: the emitted flux on \[0, 1e\+80\] K faults: "
+         r"overflow encountered in power$"),
+        ('{"material": {"theta_cap": 1.157920892373162e77}}',
+         r"material\.theta_cap: the emitted flux on .* K faults: overflow"),
         ('{"sensors": {"m": 0}}',
          r"sensors\.m: sensor 0 has zero weight at every cell center"),
         # a bump that underflows to 0 at every cell centre blames M, not m
@@ -135,42 +154,60 @@ class TestValidation:
         ('{"grid": {"J": 1%s}}' % ("0" * 400), r"grid\.J: must be finite"),
         # rho*c(theta) overflows: a frozen plate, since every rate is N/inf
         ('{"material": {"rho": 1e308}, "time": {"t_final": 0.01}}',
-         r"material\.rho: rho\*c0 must be a finite float, got inf$"),
+         r"material\.rho: rho\*c on .* K faults: overflow encountered in multiply$"),
         ('{"material": {"c0": 1e308}}',
-         r"material\.rho: rho\*c0 must be a finite float, got inf$"),
+         r"material\.rho: rho\*c on .* K faults: not a finite float$"),
         ('{"controller": {"u_min": -5.0, "u_max": -1.0}}',
          r"controller\.u_max: must be >= 0 \(heaters cannot cool\), got -1\.0$"),
         # a count that cannot fit the grid is blamed on its own section
         ('{"actuators": {"count": 2e18}}',
          r"actuators\.count: 2000000000000000000 actuators on J = 100 columns"),
-        # the stability advisory would be 0: rho*c underflows, a cell's
-        # reciprocal square overflows, or the advisory's product overflows
+        # the kernel's division by a tiny rho*c overflows, in the conduction
+        # stage that lambda1 dominates; a cell's reciprocal square overflows;
+        # Phi/dx1^2 overflows
         ('{"material": {"rho": 1e-320}}',
-         r"material\.rho: rho\*c0 must have a finite reciprocal, got 3\.29996e-318$"),
+         r"material\.lambda1: the conduction rates on .* K faults: overflow "
+         r"encountered in divide$"),
         ('{"material": {"rho": 1e-300, "c0": 1e-30, "c1": 0}}',
-         r"material\.rho: rho\*c0 must have a finite reciprocal, got 0$"),
+         r"material\.lambda1: the conduction rates on .* K faults: divide by zero"),
         ('{"geometry": {"L": 1e-154}}', r"grid\.J: cell size 1e-156 m has a square "
                                         r"of 1e-312, whose reciprocal overflows$"),
         ('{"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}}',
-         r"material\.lambda0: the explicit stability limit at 300\.0 K, .* is 0 s"),
-        # a boundary flux or heater command that overflows once divided by
-        # the cell size, or a gain whose kp * y_ref overflows before the clamp
+         r"material\.lambda0: the conduction rates on .* K faults"),
+        ('{"material": {"lambda0": 1e303}}',
+         r"material\.lambda0: the conduction rates on .* K faults: overflow"),
+        # the x2 faces' rescale by dx1^2/dx2^2 overflows
+        ('{"geometry": {"H": 1e-130}, "material": {"lambda1": 1e150, "c1": 1e170}, '
+         '"time": {"dt": 1e-8, "t_final": 2e-8}}',
+         r"material\.lambda1: the conduction rates on .* K faults: overflow"),
+        # a boundary flux or heater command that overflows, alone, once
+        # divided by the cell size or once divided by rho*c; a gain whose
+        # kp * y_ref overflows before the clamp, or whose channel mean does
         ('{"exchange": {"h": 1e308}, "time": {"t_final": 0.002}}',
-         r"exchange\.h: the emitted flux reaches inf W/m\^2 on \[0, 3000\.0\] K"),
+         r"exchange\.h: the emitted flux on \[0, 3000\.0\] K faults: overflow "
+         r"encountered in multiply$"),
         ('{"exchange": {"sigma": 1e300}, "time": {"t_final": 0.002}}',
-         r"exchange\.sigma: the emitted flux reaches inf W/m\^2"),
+         r"exchange\.sigma: the emitted flux on .* K faults: overflow"),
+        ('{"material": {"rho": 1e-290, "lambda0": 1e-290, "lambda1": 0, "c1": 0}, '
+         '"exchange": {"h": 1e20}, "time": {"dt": 1e-5, "t_final": 2e-5}}',
+         r"exchange\.h: the rates with emission on .* K faults: overflow"),
         ('{"controller": {"kp": 1e308}, "time": {"t_final": 0.002}}',
-         r"controller\.kp: kp \* y_ref must be a finite float, got kp = 1e\+308"),
+         r"controller\.kp: the command at e = y_ref on .* K faults: overflow"),
         ('{"controller": {"kp": 1e306}, "time": {"t_final": 0.002}}',
-         r"controller\.kp: kp \* y_ref must be a finite float, got kp = 1e\+306"),
+         r"controller\.kp: the command at e = y_ref on .* K faults: overflow"),
         ('{"controller": {"kp": 1e305}, "time": {"t_final": 0.002}}',
-         r"controller\.kp: a heater command of up to 4e\+307 W/m\^2"),
+         r"controller\.kp: the mean command on .* K faults: overflow"),
         ('{"controller": {"kp": 1e308, "u_max": 1e5}, "time": {"t_final": 0.002}}',
-         r"controller\.kp: kp \* y_ref must be a finite float"),
+         r"controller\.kp: the command at e = y_ref on .* K faults"),
+        ('{"controller": {"kp": [1, 1e307, 1, 1, 1], "u_max": 1e5}}',
+         r"controller\.kp: the command at e = y_ref on .* K faults"),
         ('{"controller": {"kp": 1e305, "u_max": 1e307}, "time": {"t_final": 0.002}}',
-         r"controller\.u_max: a heater command of up to 1e\+307 W/m\^2"),
+         r"controller\.u_max: the rates with heating on .* K faults: overflow"),
         ('{"controller": {"kp": 0, "u_min": 1e307}, "time": {"t_final": 0.002}}',
-         r"controller\.u_min: a heater command of up to 1e\+307 W/m\^2"),
+         r"controller\.u_min: the rates with heating on .* K faults: overflow"),
+        # a finite rate whose Euler step overflows
+        ('{"controller": {"u_min": 1e300}, "time": {"dt": 1e12, "t_final": 2e12}}',
+         r"time\.dt: the Euler step on .* K faults: overflow encountered in multiply$"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with warnings.catch_warnings():
@@ -201,28 +238,43 @@ class TestValidation:
             limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
         assert 0 < limit < math.inf
 
-    @settings(max_examples=60, deadline=None)
-    @given(doc=st.fixed_dictionaries({
-        "exchange": st.fixed_dictionaries({"h": WIDE_LOG_UNIFORM,
-                                           "sigma": WIDE_LOG_UNIFORM}),
-        "controller": st.fixed_dictionaries({
-            "kp": WIDE_LOG_UNIFORM, "u_max": st.none() | WIDE_LOG_UNIFORM}),
-    }))
-    @example(doc={"exchange": {"h": 1e308}})
-    @example(doc={"exchange": {"sigma": 1e300}})
-    @example(doc={"controller": {"kp": 1e308}})
-    @example(doc={"controller": {"kp": 1e306}})
-    @example(doc={"controller": {"kp": 1e305}})
-    @example(doc={"controller": {"kp": 1e308, "u_max": 1e5}})
-    @example(doc={"controller": {"kp": 1e305, "u_max": 1e307}})
-    @example(doc={"exchange": {"h": 1e300}})  # accepted: diverges at step 0
+    @settings(max_examples=250, deadline=None)
+    @given(doc=st.builds(
+        _small_document,
+        st.dictionaries(st.sampled_from(FLOAT_KEYS), WIDE_LOG_UNIFORM,
+                        min_size=1, max_size=4),
+        st.sampled_from([5, 8, 12]), st.sampled_from([2, 3, 6])))
+    @example(doc={"exchange": {"h": 1e308}, "time": {"t_final": 0.002}})
+    @example(doc={"exchange": {"sigma": 1e300}, "time": {"t_final": 0.002}})
+    @example(doc={"controller": {"kp": 1e308}, "time": {"t_final": 0.002}})
+    @example(doc={"controller": {"kp": 1e306}, "time": {"t_final": 0.002}})
+    @example(doc={"controller": {"kp": 1e305}, "time": {"t_final": 0.002}})
+    @example(doc={"controller": {"kp": 1e308, "u_max": 1e5},
+                  "time": {"t_final": 0.002}})
+    @example(doc={"controller": {"kp": 1e305, "u_max": 1e307},
+                  "time": {"t_final": 0.002}})
+    # accepted: diverges at step 0
+    @example(doc={"exchange": {"h": 1e300}, "time": {"t_final": 0.002}})
+    # each of these faulted in a run of a config that check accepted
+    @example(doc={"material": {"rho": 1e-290, "lambda0": 1e-290, "lambda1": 0, "c1": 0},
+                  "exchange": {"h": 1e20}, "time": {"dt": 1e-5, "t_final": 2e-5}})
+    @example(doc={"controller": {"kp": 1e307, "y_ref": 1e-10},
+                  "time": {"t_final": 0.002}})  # accepted: runs clean
+    @example(doc={"geometry": {"H": 1e-130}, "material": {"lambda1": 1e150, "c1": 1e170},
+                  "time": {"dt": 1e-8, "t_final": 2e-8}})
+    @example(doc={"material": {"lambda0": 1e303}, "time": {"t_final": 0.002}})
+    @example(doc={"controller": {"u_min": 1e300}, "time": {"dt": 1e12, "t_final": 2e12}})
     def test_accepted_boundary_terms_run_and_write_without_overflow(self, doc):
-        # Scenario 1 at 100x40 for two steps.  A config that parses runs and
-        # writes its outputs with no RuntimeWarning, diverged or not.
+        # Whole documents: 1-4 numeric keys of any section drawn log-uniform,
+        # on small grids for two steps.  A config that parses runs and writes
+        # its outputs with no RuntimeWarning but the step advisory, diverged
+        # or not.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "dt = .* exceeds the explicit stability",
+                                    RuntimeWarning)
             try:
-                cfg = parse_config({**doc, "time": {"t_final": 0.002}})
+                cfg = parse_config(doc)
             except ConfigError:
                 return
             result = run_simulation(cfg)
@@ -344,6 +396,8 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match=r"material\.lambda1"):
             load_config('{"material": {"lambda1": -0.004}}')
         load_config('{"material": {"lambda1": -0.004, "theta_cap": 2000}}')
+        # the largest cap whose fourth power is a finite float
+        load_config('{"material": {"theta_cap": 1.1579208923731618e77}}')
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,14 @@ class TestProportionalLaw:
     def test_nonpositive_errors_give_zero(self, ctrl):
         u = proportional_law(ctrl, np.array([0.0, -1.0, -100.0, 0.0, -0.5]))
         assert (u == 0.0).all()
+
+    def test_negative_errors_form_no_product(self):
+        # the error is clipped before the gain, so no kp*e forms for e <= 0
+        ctrl = ControllerConfig(kp=1e307, y_ref=400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = proportional_law(ctrl, np.array([-1e10, np.nan, 0.0]))
+        assert u.tobytes() == np.zeros(3).tobytes()  # +0.0 each
 
     def test_componentwise_with_strict_inequality(self, ctrl):
         u = proportional_law(ctrl, np.array([0.5, -2.0, 1.0, 0.0, 3.0]))
@@ -68,6 +78,7 @@ class TestControllerConfig:
 
     def test_channel_count(self):
         assert ControllerConfig(kp=(1.0, 2.0, 3.0), y_ref=400.0).channels == 3
+        assert ControllerConfig(kp=(), y_ref=400.0).channels == 0
 
     def test_rejects_negative_u_max(self):
         # with u_min <= u_max this keeps every input at 0 or above
@@ -76,13 +87,6 @@ class TestControllerConfig:
             ControllerConfig(kp=1.0, y_ref=400.0, u_min=-5.0, u_max=-1.0)
         assert ControllerConfig(kp=1.0, y_ref=400.0, u_min=-5.0, u_max=0.0).u_max == 0.0
 
-    def test_rejects_a_gain_whose_command_can_overflow(self):
-        # in a run 0 < e <= y_ref, and the law forms kp*e before it clamps
-        with pytest.raises(ValueError, match=r"^kp: kp \* y_ref must be a finite "
-                                             r"float, got kp = 1e\+307 and y_ref = 400"):
-            ControllerConfig(kp=(1.0, 1e307), y_ref=400.0, u_max=1e5)
-        assert ControllerConfig(kp=1e307, y_ref=10.0).kp == 1e307
-        assert ControllerConfig(kp=(), y_ref=400.0).channels == 0
 
 
 class TestOneGain:
