@@ -109,8 +109,10 @@ def stability_limit(grid: Grid, material: ThermalMaterial, theta_ref: float) -> 
     Standard explicit bound 1 / (2*alpha*(1/dx1^2 + 1/dx2^2)) with the
     diffusivity alpha = lambda(theta_ref) / (rho*c(theta_ref)) taken at a
     caller-chosen reference temperature.  Advisory only: the solver does
-    not enforce it, so deliberate divergence stays reproducible.
+    not enforce it, so deliberate divergence stays reproducible.  The sums
+    and products are numpy's, which report an overflow where a Python float
+    would turn inf without a word.
     """
-    alpha = (material.thermal_conductivity(theta_ref)
+    alpha = (material.thermal_conductivity(np.float64(theta_ref))
              / material.volumetric_heat_coefficient(theta_ref))
-    return 1.0 / (2.0 * alpha * (1.0 / grid.dx1**2 + 1.0 / grid.dx2**2))
+    return 1.0 / (2.0 * alpha * np.add(1.0 / grid.dx1**2, 1.0 / grid.dx2**2))

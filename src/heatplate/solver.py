@@ -26,7 +26,7 @@ import numpy as np
 
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank
-from .grid import Grid, PlateGeometry
+from .grid import Grid, PlateGeometry, stability_limit
 from .material import SurfaceExchange, ThermalMaterial
 
 
@@ -165,10 +165,13 @@ def step_forward_euler(field_values, rhs, dt: float, out=None) -> np.ndarray:
 
 
 def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExchange,
-                     controller: ControllerConfig, actuators: ActuatorBank, dt: float):
-    """Raise ValueError("<section>.<key>: ...") if one kernel step faults where the
-    monotone laws give every flux its peak: on the 0 K / theta_cap checkerboards
-    of up to 4 x 4 of the grid's cells, with heat on the cells at 0 K."""
+                     controller: ControllerConfig, actuators: ActuatorBank, dt: float,
+                     theta_ref: float):
+    """Raise ValueError("<section>.<key>: ...") at the first stage, in kernel order,
+    that faults in one step where the monotone laws give every flux its peak: on
+    the 0 K / theta_cap checkerboards of up to 4 x 4 of the grid's cells, with
+    heat on every underside cell.  The last stage is the step advisory,
+    `stability_limit` at theta_ref on the grid itself."""
     cap, ends = material.theta_cap, np.array([0.0, material.theta_cap])
 
     def finite(key, stage, fn, *args):
@@ -187,13 +190,16 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
     command = ("controller.u_max" if top == controller.u_max else
                "controller.u_min" if top == controller.u_min else "controller.kp")
     finite(command, "the mean command", u.mean)
-    finite("material.rho", "rho*c", material.volumetric_heat_coefficient, ends)
+    rho_c = finite("material.rho", "rho*c", material.volumetric_heat_coefficient, ends)
+    finite("material.rho", "1/(rho*c)", np.divide, 1.0, rho_c)
     with np.errstate(all="ignore"):  # cap**4 as a Python float would raise
         fourth = np.float64(cap) ** 4
         radiates = exchange.emissivity * exchange.sigma * fourth > exchange.h * cap
     emission = ("material.theta_cap" if fourth == np.inf
                 else "exchange.sigma" if radiates else "exchange.h")
     phi = finite(emission, "the emitted flux", exchange.emitted_flux, ends)
+    conduction = ("material.lambda1" if material.lambda1 * cap > 2 * material.lambda0
+                  else "material.lambda0")
 
     J, K = min(grid.J, 4), min(grid.K, 4)  # 4*dx/4 == dx, but 3*dx/3 need not be
     plate = Grid(PlateGeometry(grid.geometry.L if grid.J <= 4 else 4 * grid.dx1,
@@ -201,17 +207,15 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
 
     def rates(hot, phi=0 * ends, heat=0):  # hot: 1 at theta_cap, 0 at 0 K
         return assemble_rhs(cap * hot, plate, material, BoundaryFluxes(
-            heat * (1 - hot[:J]), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]]))
+            np.full(J, heat), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]]))
 
     for hot in np.indices((2, K, J)).sum(axis=0).reshape(2, -1) % 2:
-        try:
-            rate = finite(command, "the rates with heating", rates, hot, phi, heat)
-        except ValueError:  # each term adds with the cell's sign: blame the first
-            finite("material.lambda1" if material.lambda1 * cap > 2 * material.lambda0
-                   else "material.lambda0", "the conduction rates", rates, hot)
-            finite(emission, "the rates with emission", rates, hot, phi)
-            raise
+        finite(conduction, "the conduction rates", rates, hot)
+        finite(emission, "the rates with emission", rates, hot, phi)
+        rate = finite(command, "the rates with heating", rates, hot, phi, heat)
         finite("time.dt", "the Euler step", step_forward_euler, cap * hot, rate, dt)
+    finite("material.lambda0", f"the explicit stability limit at {theta_ref} K",
+           stability_limit, grid, material, theta_ref)
 
 
 def worst_invalid_cell(field_values, theta_cap: float) -> int | None:

@@ -351,10 +351,9 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
             ('{"controller": {"u_min": -5.0, "u_max": -1.0}}',
              "controller.u_max: must be >= 0 (heaters cannot cool), got -1.0"),
             ('{"material": {"rho": 1e-320}}',
-             f"material.lambda1: the conduction rates {on} overflow encountered "
-             "in divide"),
+             f"material.rho: 1/(rho*c) {on} overflow encountered in divide"),
             ('{"material": {"rho": 1e-300, "c0": 1e-30, "c1": 0}}',
-             f"material.lambda1: the conduction rates {on} divide by zero"),
+             f"material.rho: 1/(rho*c) {on} divide by zero"),
             ('{"geometry": {"L": 1e-154}}', "grid.J: cell size 1e-156 m"),
             ('{"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}}',
              f"material.lambda0: the conduction rates {on}"),
@@ -378,7 +377,13 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
             ('{"controller": {"kp": 1e305, "u_max": 1e307}, "time": {"t_final": 0.002}}',
              f"controller.u_max: the rates with heating {on} overflow"),
             ('{"controller": {"u_min": 1e300}, "time": {"dt": 1e12, "t_final": 2e12}}',
-             f"time.dt: the Euler step {on} overflow")):
+             f"time.dt: the Euler step {on} overflow"),
+            ('{"material": {"c1": -0.10999999}, "controller": {"kp": 1e301}, '
+             '"initial": {"base": 1500, "a0": 1499.9, "a1": 0, "a2": 0.5}, '
+             '"time": {"dt": 1e5, "t_final": 2e5}}',
+             f"time.dt: the Euler step {on} overflow"),
+            ('{"material": {"lambda0": 1e-320, "lambda1": 0}}',
+             "material.lambda0: the explicit stability limit at 300.0 K")):
         path.write_text(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

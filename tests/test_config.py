@@ -27,6 +27,12 @@ WIDE_LOG_UNIFORM = st.floats(-300.0, 308.0).map(lambda exponent: 10.0 ** exponen
 FLOAT_KEYS = [(section, key) for section, values in _scenario_document(1).items()
               for key, value in values.items()
               if key != "t_final" and (isinstance(value, float) or value is None)]
+# c1 < 0: rho*c is smallest at theta_cap, and a hot underside lies under a
+# cold topside, so a heated cell at theta_cap has the largest rate
+C1_NEGATIVE_HOT_UNDERSIDE = (
+    '{"material": {"c1": -0.10999999}, "controller": {"kp": 1e301}, '
+    '"initial": {"base": 1500, "a0": 1499.9, "a1": 0, "a2": 0.5}, '
+    '"time": {"dt": 1e5, "t_final": 2e5}}')
 
 
 def _small_document(values, J, K):
@@ -162,14 +168,14 @@ class TestValidation:
         # a count that cannot fit the grid is blamed on its own section
         ('{"actuators": {"count": 2e18}}',
          r"actuators\.count: 2000000000000000000 actuators on J = 100 columns"),
-        # the kernel's division by a tiny rho*c overflows, in the conduction
-        # stage that lambda1 dominates; a cell's reciprocal square overflows;
+        # the reciprocal of a tiny rho*c overflows, or of one that underflows
+        # to 0 divides by zero; a cell's reciprocal square overflows;
         # Phi/dx1^2 overflows
         ('{"material": {"rho": 1e-320}}',
-         r"material\.lambda1: the conduction rates on .* K faults: overflow "
+         r"material\.rho: 1/\(rho\*c\) on .* K faults: overflow "
          r"encountered in divide$"),
         ('{"material": {"rho": 1e-300, "c0": 1e-30, "c1": 0}}',
-         r"material\.lambda1: the conduction rates on .* K faults: divide by zero"),
+         r"material\.rho: 1/\(rho\*c\) on .* K faults: divide by zero"),
         ('{"geometry": {"L": 1e-154}}', r"grid\.J: cell size 1e-156 m has a square "
                                         r"of 1e-312, whose reciprocal overflows$"),
         ('{"material": {"lambda0": 1e300}, "geometry": {"L": 1e-150}}',
@@ -205,9 +211,26 @@ class TestValidation:
          r"controller\.u_max: the rates with heating on .* K faults: overflow"),
         ('{"controller": {"kp": 0, "u_min": 1e307}, "time": {"t_final": 0.002}}',
          r"controller\.u_min: the rates with heating on .* K faults: overflow"),
-        # a finite rate whose Euler step overflows
+        # a finite rate whose Euler step overflows, also at a heated cell at
+        # theta_cap when c1 < 0
         ('{"controller": {"u_min": 1e300}, "time": {"dt": 1e12, "t_final": 2e12}}',
          r"time\.dt: the Euler step on .* K faults: overflow encountered in multiply$"),
+        (C1_NEGATIVE_HOT_UNDERSIDE,
+         r"time\.dt: the Euler step on .* K faults: overflow encountered in multiply$"),
+        # the step advisory: a diffusivity that underflows to 0, a sum
+        # 1/dx1^2 + 1/dx2^2 that overflows, and lambda(initial.base) that
+        # overflows where Phi/dx1^2 stays finite
+        ('{"material": {"lambda0": 1e-320, "lambda1": 0}}',
+         r"material\.lambda0: the explicit stability limit at 300\.0 K"),
+        ('{"geometry": {"L": 8.2e-153, "H": 3.28e-153}, '
+         '"material": {"lambda0": 1e-10, "lambda1": 0}}',
+         r"material\.lambda0: the explicit stability limit at 300\.0 K on .* K "
+         r"faults: overflow"),
+        ('{"material": {"lambda0": 1e308, "lambda1": 1.7e308, "theta_cap": 1}, '
+         '"initial": {"base": 0.5, "a0": 0}, "exchange": {"theta_amb": 0.5}, '
+         '"geometry": {"L": 2000, "H": 800}, "sensors": {"M": 0}}',
+         r"material\.lambda0: the explicit stability limit at 0\.5 K on .* K "
+         r"faults: overflow"),
     ])
     def test_field_errors_name_their_path(self, doc, path):
         with warnings.catch_warnings():
@@ -264,6 +287,7 @@ class TestValidation:
                   "time": {"dt": 1e-8, "t_final": 2e-8}})
     @example(doc={"material": {"lambda0": 1e303}, "time": {"t_final": 0.002}})
     @example(doc={"controller": {"u_min": 1e300}, "time": {"dt": 1e12, "t_final": 2e12}})
+    @example(doc=json.loads(C1_NEGATIVE_HOT_UNDERSIDE))
     def test_accepted_boundary_terms_run_and_write_without_overflow(self, doc):
         # Whole documents: 1-4 numeric keys of any section drawn log-uniform,
         # on small grids for two steps.  A config that parses runs and writes
