@@ -78,6 +78,14 @@ def _override(doc, section: str, key: str, value):
         doc[section][key] = value
 
 
+def _advisory(cfg) -> tuple[str, bool]:
+    """The explicit stability advisory line for cfg, and whether dt keeps to it."""
+    limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
+    verdict = "is OK" if cfg.dt <= limit else "EXCEEDS the advisory limit"
+    return (f"explicit stability advisory at {cfg.initial.base} K: dt <= "
+            f"{limit:.6e} s; configured dt = {cfg.dt} s {verdict}"), cfg.dt <= limit
+
+
 def _cmd_run(args) -> int:
     # Overrides edit the config document, so they pass the same validation
     # as a JSON file and their errors name the same paths.
@@ -90,6 +98,9 @@ def _cmd_run(args) -> int:
     if args.t_final is not None:
         _override(doc, "time", "t_final", args.t_final)
     cfg = parse_config(doc)
+    advisory, within = _advisory(cfg)
+    if not within:
+        print(advisory, file=sys.stderr)
     # Made before the run, so an unusable --out fails before any step.
     args.out.mkdir(parents=True, exist_ok=True)
     result = run_simulation(cfg)
@@ -112,12 +123,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(_load(args))
-    limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
-    verdict = "is OK" if cfg.dt <= limit else "EXCEEDS the advisory limit"
     print("config OK: "
           f"grid {cfg.grid.J}x{cfg.grid.K}, {cfg.n_steps()} steps of dt = {cfg.dt} s")
-    print(f"explicit stability advisory at {cfg.initial.base} K: "
-          f"dt <= {limit:.6e} s; configured dt = {cfg.dt} s {verdict}")
+    print(_advisory(cfg)[0])
     return 0
 
 

@@ -9,7 +9,7 @@ use LF line endings and UTF-8.
 from __future__ import annotations
 
 import shutil
-from functools import cache
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +40,15 @@ def _write_lines(file, fields) -> None:
     file.write(str(lines[lines != 0], "ascii"))
 
 
-@cache
+_COORDINATES = weakref.WeakKeyDictionary()
+
+
 def _coordinate_columns(grid: Grid):
-    """x1 and x2 cell-centre text, formatted once per grid, shaped to broadcast."""
-    return repr_block(grid.x1_centers())[None], repr_block(grid.x2_centers())[:, None]
+    """x1 and x2 cell-centre text, formatted once per live grid, shaped to broadcast."""
+    if grid not in _COORDINATES:
+        _COORDINATES[grid] = (repr_block(grid.x1_centers())[None],
+                              repr_block(grid.x2_centers())[:, None])
+    return _COORDINATES[grid]
 
 
 def write_field_csv(field_values, grid: Grid, file) -> None:

@@ -9,14 +9,13 @@ produce bit-identical results.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank, DeviceSpec, SensorBank
-from .grid import Grid, stability_limit
+from .grid import Grid
 from .material import SurfaceExchange, ThermalMaterial
 from .solver import (RhsBuffers, aligned_empty, assemble_rhs, boundary_fluxes,
                      check_admissible, step_forward_euler, worst_invalid_cell)
@@ -183,15 +182,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """
     grid, material, exchange = cfg.grid, cfg.material, cfg.exchange
     actuators, sensors = cfg.banks
-
-    limit = stability_limit(grid, material, cfg.initial.base)
-    if cfg.dt > limit:
-        warnings.warn(
-            f"dt = {cfg.dt} exceeds the explicit stability estimate "
-            f"{limit:.3e} s at {cfg.initial.base} K; expect divergence",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     # The field and buffers.potential trade places every step.  The field
     # is copied after initial_field, where a grid too large to allocate

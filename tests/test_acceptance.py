@@ -155,7 +155,6 @@ def test_oracle_equivalence(preset1):
             assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_stability_behavior(preset1, scenario1_result, tmp_path):
     with criterion("stability behavior"):
         # closed-form bound evaluated by hand:

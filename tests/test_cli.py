@@ -105,8 +105,10 @@ def test_run_config_writes_outputs(tiny_config_path, tmp_path, capsys):
     for name in ("final_field.csv", "signals.csv", "snapshot_0000.csv",
                  "heatmap.pgm"):
         assert (out_dir / name).exists()
-    summary = capsys.readouterr().out
-    assert "y_avg" in summary and "dominant mode" in summary
+    captured = capsys.readouterr()
+    assert "y_avg" in captured.out and "dominant mode" in captured.out
+    # dt keeps to the stability advisory, so run prints no advisory line
+    assert captured.err == ""
     field = np.loadtxt(out_dir / "final_field.csv",
                        delimiter=",", skiprows=1, usecols=2, ndmin=1)
     assert field.shape == (20 * 8,)
@@ -114,15 +116,21 @@ def test_run_config_writes_outputs(tiny_config_path, tmp_path, capsys):
     assert header == [b"P5", b"20 8"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_unstable_dt_exits_1(tmp_path, capsys):
-    code = main(["run", "--scenario", "1", "--dt", "0.05",
-                 "--out", str(tmp_path / "x"), "--render"])
+    # the advisory is a line on stderr, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--scenario", "1", "--dt", "0.05",
+                     "--out", str(tmp_path / "x"), "--render"])
     assert code == 1
     err = capsys.readouterr().err
-    # step 1 produces the first invalid field, which belongs to t = 2*dt;
-    # every underside cell is negative there, and (64, 0) is the coldest
-    assert "DIVERGED at step 1 (t = 0.1 s), cell (j, k) = (64, 0), theta = -176.09" in err
+    # the advisory line that check prints comes first; step 1 produces the
+    # first invalid field, which belongs to t = 2*dt; every underside cell
+    # is negative there, and (64, 0) is the coldest
+    assert err.startswith(
+        "explicit stability advisory at 300.0 K: dt <= 2.723276e-03 s; "
+        "configured dt = 0.05 s EXCEEDS the advisory limit\n"
+        "DIVERGED at step 1 (t = 0.1 s), cell (j, k) = (64, 0), theta = -176.09")
     # diverged fields are not rendered
     assert not (tmp_path / "x" / "heatmap.pgm").exists()
     assert (tmp_path / "x" / "final_field.csv").exists()

@@ -291,12 +291,9 @@ class TestValidation:
     def test_accepted_boundary_terms_run_and_write_without_overflow(self, doc):
         # Whole documents: 1-4 numeric keys of any section drawn log-uniform,
         # on small grids for two steps.  A config that parses runs and writes
-        # its outputs with no RuntimeWarning but the step advisory, diverged
-        # or not.
+        # its outputs with no RuntimeWarning, diverged or not.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            warnings.filterwarnings("ignore", "dt = .* exceeds the explicit stability",
-                                    RuntimeWarning)
             try:
                 cfg = parse_config(doc)
             except ConfigError:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from heatplate import (ControllerConfig, DeviceSpec, Grid, InitialCondition,
                        PlateGeometry, SimulationConfig, SurfaceExchange,
                        ThermalMaterial, averaged_signals, initial_field,
-                       run_simulation, scenario_preset, topside_statistics)
+                       run_simulation, scenario_preset, topside_statistics,
+                       write_run_outputs)
 
 
 def short_config(**overrides):
@@ -116,7 +118,10 @@ class TestRunSimulation:
 
     def test_divergence_flagged_with_partial_logs(self, preset1):
         cfg = dataclasses.replace(preset1, dt=5e-2)
-        with pytest.warns(RuntimeWarning, match="stability"):
+        # dt exceeds the stability advisory: the run diverges, and the
+        # library neither warns nor raises on its own
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = run_simulation(cfg)
         assert result.diverged
         assert result.divergence_step is not None and result.divergence_step < 200
@@ -208,14 +213,16 @@ class TestRunSimulation:
         assert wider.banks[0].weight_table.shape == (5, 40)
         assert len(calls) == 3
 
-    def test_a_run_keeps_no_reference_to_its_grid(self):
+    def test_a_run_keeps_no_reference_to_its_grid(self, tmp_path):
         # A grid no other test builds: a cache holding an equal grid built
         # earlier would keep that one as its key and mask a leak of this one.
+        # Writing the outputs must not keep it either.
         grid = Grid(PlateGeometry(0.30, 0.01), J=43, K=13)
         alive = weakref.ref(grid)
         cfg = short_config(grid=grid, t_final=0.002)
-        run_simulation(cfg)
-        del grid, cfg
+        result = run_simulation(cfg)
+        write_run_outputs(result, tmp_path)
+        del grid, cfg, result
         gc.collect()
         assert alive() is None
 
