@@ -13,7 +13,6 @@ from pathlib import Path
 from . import __version__
 from .config import (ConfigError, _decode_document, _scenario_document,
                      parse_config)
-from .grid import stability_limit
 from .output import write_run_outputs
 from .simulation import averaged_signals, run_simulation, topside_statistics
 
@@ -80,7 +79,7 @@ def _override(doc, section: str, key: str, value):
 
 def _advisory(cfg) -> tuple[str, bool]:
     """The explicit stability advisory line for cfg, and whether dt keeps to it."""
-    limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
+    limit = cfg.advisory_dt
     verdict = "is OK" if cfg.dt <= limit else "EXCEEDS the advisory limit"
     return (f"explicit stability advisory at {cfg.initial.base} K: dt <= "
             f"{limit:.6e} s; configured dt = {cfg.dt} s {verdict}"), cfg.dt <= limit

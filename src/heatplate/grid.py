@@ -106,12 +106,12 @@ class Grid:
 def stability_limit(grid: Grid, material: ThermalMaterial, theta_ref: float) -> float:
     """Largest non-amplifying forward-Euler step for the diffusion operator.
 
-    Standard explicit bound 1/(2*alpha*(1/dx1^2 + 1/dx2^2)) with alpha =
-    lambda(theta_ref)/(rho*c(theta_ref)).  Advisory only: the library
-    neither enforces nor reports it, so deliberate divergence stays
-    reproducible; `heatplate check` prints it, as does `heatplate run`
-    when dt exceeds it.  The sums and products are numpy's, which report
-    an overflow where a Python float would turn inf without a word.
+    Standard explicit bound 1/(2*alpha*(1/dx1^2 + 1/dx2^2)), alpha =
+    lambda/(rho*c) at theta_ref, in numpy arithmetic, which reports an overflow
+    where a Python float would turn inf without a word.  Advisory only: nothing
+    enforces it, so deliberate divergence stays reproducible.  A config keeps
+    it at initial.base as `advisory_dt`; `heatplate check` prints it, and
+    `heatplate run` prints it on stderr only when dt exceeds it.
     """
     alpha = (material.thermal_conductivity(np.float64(theta_ref))
              / material.volumetric_heat_coefficient(theta_ref))

@@ -43,7 +43,7 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """All that one closed-loop run needs; making one builds its device banks."""
+    """All one closed-loop run needs; making one builds its banks and advisory_dt."""
 
     grid: Grid
     material: ThermalMaterial
@@ -56,8 +56,8 @@ class SimulationConfig:
     t_final: float
     snapshot_stride: int = 1000
     signal_stride: int = 1
-    banks: tuple[ActuatorBank, SensorBank] = field(init=False, repr=False,
-                                                   compare=False)
+    banks: tuple[ActuatorBank, SensorBank] = field(init=False, repr=False, compare=False)
+    advisory_dt: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -99,8 +99,9 @@ class SimulationConfig:
                 "sensors.count: channel pairing needs equal counts, got "
                 f"{self.sensors.count} sensors and {self.actuators.count} actuators"
             )
-        check_admissible(self.grid, self.material, self.exchange, self.controller,
-                         self.banks[0], self.dt, ic.base)
+        object.__setattr__(self, "advisory_dt", check_admissible(
+            self.grid, self.material, self.exchange, self.controller, self.banks[0],
+            self.dt, ic.base))
 
     def n_steps(self) -> int:
         """Number of Euler steps; t_final is a whole multiple of dt."""

@@ -166,12 +166,12 @@ def step_forward_euler(field_values, rhs, dt: float, out=None) -> np.ndarray:
 
 def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExchange,
                      controller: ControllerConfig, actuators: ActuatorBank, dt: float,
-                     theta_ref: float):
+                     theta_ref: float) -> float:
     """Raise ValueError("<section>.<key>: ...") at the first stage, in kernel order,
     that faults in one step where the monotone laws give every flux its peak: on
     the 0 K / theta_cap checkerboards of up to 4 x 4 of the grid's cells, with
     heat on every underside cell.  The last stage is the step advisory,
-    `stability_limit` at theta_ref on the grid itself."""
+    `stability_limit` at theta_ref on the grid itself, which is returned."""
     cap, ends = material.theta_cap, np.array([0.0, material.theta_cap])
 
     def finite(key, stage, fn, *args):
@@ -214,8 +214,8 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
         finite(emission, "the rates with emission", rates, hot, phi)
         rate = finite(command, "the rates with heating", rates, hot, phi, heat)
         finite("time.dt", "the Euler step", step_forward_euler, cap * hot, rate, dt)
-    finite("material.lambda0", f"the explicit stability limit at {theta_ref} K",
-           stability_limit, grid, material, theta_ref)
+    return finite("material.lambda0", f"the explicit stability limit at {theta_ref} K",
+                  stability_limit, grid, material, theta_ref)
 
 
 def worst_invalid_cell(field_values, theta_cap: float) -> int | None:

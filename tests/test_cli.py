@@ -168,6 +168,26 @@ def test_run_parses_the_document_once(tiny_config_path, tmp_path, monkeypatch):
     assert counts == {"parse": 1, "banks": 1}
 
 
+@pytest.mark.parametrize("command", [["check"], ["run", "--out", "o"]])
+def test_each_command_evaluates_the_advisory_once(command, tiny_config_path,
+                                                 tmp_path, monkeypatch, capsys):
+    # only stability_limit calls thermal_conductivity; the config keeps the
+    # limit its probe computed, and the advisory line reads it from there
+    from heatplate.material import ThermalMaterial
+    calls = []
+    original = ThermalMaterial.thermal_conductivity
+
+    def counting(self, theta):
+        calls.append(theta)
+        return original(self, theta)
+
+    monkeypatch.setattr(ThermalMaterial, "thermal_conductivity", counting)
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--config", str(tiny_config_path), *command[1:]]) == 0
+    assert len(calls) == 1
+    assert ("advisory" in capsys.readouterr().out) == (command[0] == "check")
+
+
 def test_overrides_edit_a_partial_document(tmp_path, capsys):
     path = tmp_path / "partial.json"
     path.write_text('{"material": {"theta_cap": 2000}}')

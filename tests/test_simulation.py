@@ -9,8 +9,9 @@ import pytest
 
 from heatplate import (ControllerConfig, DeviceSpec, Grid, InitialCondition,
                        PlateGeometry, SimulationConfig, SurfaceExchange,
-                       ThermalMaterial, averaged_signals, initial_field,
-                       run_simulation, scenario_preset, topside_statistics,
+                       ThermalMaterial, averaged_signals, dump_config,
+                       initial_field, load_config, run_simulation,
+                       scenario_preset, stability_limit, topside_statistics,
                        write_run_outputs)
 
 
@@ -26,6 +27,55 @@ def short_config(**overrides):
     )
     defaults.update(overrides)
     return dataclasses.replace(base, **defaults)
+
+
+def composed_run(cfg):
+    """The closed loop written out in the order solver.py documents, with no
+    call to measure, the law, boundary_fluxes, assemble_rhs or the Euler step.
+
+    Returns (final field, inputs, outputs, snapshots) for a run that does
+    not diverge.
+    """
+    grid, material, exchange = cfg.grid, cfg.material, cfg.exchange
+    controller, (actuators, sensors) = cfg.controller, cfg.banks
+    J, K, dx1, dx2 = grid.J, grid.K, grid.dx1, grid.dx2
+    theta, n_steps = initial_field(grid, cfg.initial), cfg.n_steps()
+    inputs, outputs, snapshots = [], [], []
+    for step in range(n_steps + 1):
+        y = (sensors.weight_table @ theta[-J:]) * dx1 / sensors.mass
+        e = controller.y_ref - y
+        u = np.array(controller.kp) * np.where(e > 0, e, 0.0)
+        u = np.minimum(np.maximum(u, controller.u_min), controller.u_max)
+        if step % cfg.signal_stride == 0 or step == n_steps:
+            inputs.append(u)
+            outputs.append(y)
+        if step % cfg.snapshot_stride == 0 or step == n_steps:
+            snapshots.append((step * cfg.dt, theta.copy()))
+        if step == n_steps:
+            return theta, np.array(inputs), np.array(outputs), snapshots
+
+        underside = actuators.weight_table.T @ u
+        edge = np.concatenate((theta[::J], theta[J - 1::J], theta[-J:]))
+        emitted = (-exchange.h * (edge - exchange.theta_amb)
+                   - exchange.emissivity * exchange.sigma
+                   * (edge**4 - exchange.theta_amb**4))
+        # Kirchhoff potential over dx1^2, then the face differences; a cell
+        # on the plate's edge has a zero face there.
+        potential = (theta * (material.lambda0 / dx1**2
+                              + material.lambda1 / (2 * dx1**2) * theta)).reshape(K, J)
+        east, west = np.zeros((K, J)), np.zeros((K, J))
+        east[:, :-1] = west[:, 1:] = potential[:, 1:] - potential[:, :-1]
+        rate = east - west
+        north = (potential[1:] - potential[:-1]) * (dx1**2 / dx2**2)
+        rate[:-1] += north
+        rate[1:] -= north
+        rate[:, 0] += emitted[:K] / dx1
+        rate[:, -1] += emitted[K:2 * K] / dx1
+        rate[0] += underside / dx2
+        rate[-1] += emitted[2 * K:] / dx2
+        rate = rate.reshape(-1) / (theta * (material.rho * material.c1)
+                                   + material.rho * material.c0)
+        theta = theta + cfg.dt * rate
 
 
 class TestInitialField:
@@ -63,6 +113,20 @@ class TestScenarioPresets:
         assert preset1.controller.y_ref == 400.0
         assert preset1.dt == 1e-3 and preset1.t_final == 10.0
         assert preset1.n_steps() == 10_000
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_config_keeps_its_step_advisory(self, which):
+        # the probe's last stage, kept bit for bit, recomputed by replace and
+        # never part of the document, the repr or equality
+        preset = scenario_preset(which)
+        for cfg in (preset, dataclasses.replace(preset, dt=5e-4)):
+            limit = stability_limit(cfg.grid, cfg.material, cfg.initial.base)
+            assert np.float64(cfg.advisory_dt).tobytes() == np.float64(limit).tobytes()
+        finer = dataclasses.replace(preset, grid=Grid(PlateGeometry(0.30, 0.01), 200, 80))
+        assert finer.advisory_dt == stability_limit(finer.grid, finer.material, 300.0)
+        assert finer.advisory_dt < preset.advisory_dt
+        assert "advisory" not in dump_config(preset) + repr(preset)
+        assert load_config(dump_config(preset)) == preset
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):
@@ -163,6 +227,49 @@ class TestRunSimulation:
         cfg = short_config(t_final=0.02)
         run_simulation(cfg)
         assert counts == dict.fromkeys(names, cfg.n_steps())
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("J,K", [(20, 8), (100, 40)])
+    def test_loop_matches_its_composition_bit_for_bit(self, which, J, K):
+        # At 20x8 a step moves a cell by about 1e-3 K, so a last-bit change of
+        # a rate seldom reaches the field; the paper's grid has larger rates.
+        cfg = short_config(actuators=scenario_preset(which).actuators,
+                           grid=Grid(PlateGeometry(0.30, 0.01), J=J, K=K))
+        assert cfg.n_steps() == 50 and cfg.snapshot_stride == 10
+        result = run_simulation(cfg)
+        assert not result.diverged
+        final, inputs, outputs, snapshots = composed_run(cfg)
+        assert result.final_field.tobytes() == final.tobytes()
+        assert result.inputs.tobytes() == inputs.tobytes()
+        assert result.outputs.tobytes() == outputs.tobytes()
+        assert [t for t, _ in result.snapshots] == [t for t, _ in snapshots]
+        assert [f.tobytes() for _, f in result.snapshots] == [
+            f.tobytes() for _, f in snapshots]
+        assert len(snapshots) == 6 and not (final == snapshots[0][1]).all()
+
+    def test_config_time_work_stays_out_of_the_step_names(self, monkeypatch):
+        # A traced benchmark wraps these names, and its energy check pairs
+        # each boundary_fluxes call with the next Euler step; a config-time
+        # probe that reached them would pair the wrong states.
+        from heatplate import simulation
+        names = ("boundary_fluxes", "assemble_rhs", "step_forward_euler",
+                 "proportional_law")
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(simulation, name, counting(name, getattr(simulation, name)))
+        for which in (1, 2):
+            cfg = load_config(dump_config(scenario_preset(which)))
+            dataclasses.replace(cfg, dt=5e-4)
+        assert counts == dict.fromkeys(names, 0)
+        run_simulation(short_config(t_final=0.002))  # and the wrappers are live
+        assert counts == dict(dict.fromkeys(names, 2), proportional_law=3)
 
     def test_loop_steps_in_two_aligned_field_buffers(self, monkeypatch):
         # Each step writes the new field into the array the old field does
