@@ -168,10 +168,10 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
                      controller: ControllerConfig, actuators: ActuatorBank, dt: float,
                      theta_ref: float) -> float:
     """Raise ValueError("<section>.<key>: ...") at the first stage, in kernel order,
-    that faults in one step where the monotone laws give every flux its peak: on
-    the 0 K / theta_cap checkerboards of up to 4 x 4 of the grid's cells, with
-    heat on every underside cell.  The last stage is the step advisory,
-    `stability_limit` at theta_ref on the grid itself, which is returned."""
+    that faults in one step where the monotone laws give every flux its peak: on one
+    0 K / theta_cap checkerboard of up to 4 x 4 of the grid's cells, with heat on every
+    underside cell (the kernel mirrors bitwise in x1, so on an even width the other
+    board faults alike).  Last, `stability_limit` at theta_ref on the grid is returned."""
     cap, ends = material.theta_cap, np.array([0.0, material.theta_cap])
 
     def finite(key, stage, fn, *args):
@@ -201,19 +201,19 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
     conduction = ("material.lambda1" if material.lambda1 * cap > 2 * material.lambda0
                   else "material.lambda0")
 
-    J, K = min(grid.J, 4), min(grid.K, 4)  # 4*dx/4 == dx, but 3*dx/3 need not be
-    plate = Grid(PlateGeometry(grid.geometry.L if grid.J <= 4 else 4 * grid.dx1,
+    J, K = 2 if grid.J == 2 else 4, min(grid.K, 4)  # 4*dx/4 == dx, but 3*dx/3 need not be
+    plate = Grid(PlateGeometry(J * grid.dx1,
                                grid.geometry.H if grid.K <= 4 else 4 * grid.dx2), J, K)
+    hot = np.indices((K, J)).sum(axis=0).reshape(-1) % 2  # 1 at theta_cap, 0 at 0 K
 
-    def rates(hot, phi=0 * ends, heat=0):  # hot: 1 at theta_cap, 0 at 0 K
+    def rates(phi=0 * ends, heat=0):
         return assemble_rhs(cap * hot, plate, material, BoundaryFluxes(
             np.full(J, heat), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]]))
 
-    for hot in np.indices((2, K, J)).sum(axis=0).reshape(2, -1) % 2:
-        finite(conduction, "the conduction rates", rates, hot)
-        finite(emission, "the rates with emission", rates, hot, phi)
-        rate = finite(command, "the rates with heating", rates, hot, phi, heat)
-        finite("time.dt", "the Euler step", step_forward_euler, cap * hot, rate, dt)
+    finite(conduction, "the conduction rates", rates)
+    finite(emission, "the rates with emission", rates, phi)
+    rate = finite(command, "the rates with heating", rates, phi, heat)
+    finite("time.dt", "the Euler step", step_forward_euler, cap * hot, rate, dt)
     return finite("material.lambda0", f"the explicit stability limit at {theta_ref} K",
                   stability_limit, grid, material, theta_ref)
 

@@ -36,8 +36,11 @@ C1_NEGATIVE_HOT_UNDERSIDE = (
 
 
 def _small_document(values, J, K):
-    """A J x K document of two steps with `values` set, {(section, key): value}."""
+    """A J x K document of two steps with `values` set, {(section, key): value},
+    and 2 devices per bank when J < 5."""
     doc = {"grid": {"J": J, "K": K}}
+    if J < 5:
+        doc.update(actuators={"count": 2}, sensors={"count": 2})
     for (section, key), value in values.items():
         doc.setdefault(section, {})[key] = value
     dt = doc.pop("time", {}).get("dt", 1e-3)
@@ -266,7 +269,7 @@ class TestValidation:
         _small_document,
         st.dictionaries(st.sampled_from(FLOAT_KEYS), WIDE_LOG_UNIFORM,
                         min_size=1, max_size=4),
-        st.sampled_from([5, 8, 12]), st.sampled_from([2, 3, 6])))
+        st.sampled_from([2, 3, 4, 5, 8, 12]), st.sampled_from([2, 3, 6])))
     @example(doc={"exchange": {"h": 1e308}, "time": {"t_final": 0.002}})
     @example(doc={"exchange": {"sigma": 1e300}, "time": {"t_final": 0.002}})
     @example(doc={"controller": {"kp": 1e308}, "time": {"t_final": 0.002}})

@@ -241,24 +241,39 @@ class TestAssembleRhs:
         if lateral == 0.0:
             assert (rates == rates[:, [0]]).all()
 
-    def test_mirror_symmetry(self, material):
-        # reflecting field and fluxes about the vertical midline reflects
-        # the rates bitwise
-        g = Grid(PlateGeometry(0.3, 0.01), J=12, K=7)
+    @pytest.mark.parametrize("K", [2, 3, 7])
+    @pytest.mark.parametrize("J", [2, 3, 4, 12])
+    def test_mirror_symmetry(self, material, exchange, J, K):
+        # Reflecting field and fluxes about the vertical midline reflects
+        # the rates and the Euler step bitwise.  check_admissible rests on
+        # this: on an even width its one 0 K / theta_cap checkerboard is the
+        # other one mirrored, so the other would fault in the same place.
+        g = Grid(PlateGeometry(0.3, 0.01), J=J, K=K)
         rng = np.random.default_rng(42)
-        field = rng.uniform(250.0, 450.0, g.n_cells)
-        fluxes = random_fluxes(g, rng)
-        mirrored_field = field.reshape(g.K, g.J)[:, ::-1].reshape(-1)
-        mirrored_fluxes = BoundaryFluxes(
-            underside=fluxes.underside[::-1],
-            left=fluxes.right,
-            right=fluxes.left,
-            top=fluxes.top[::-1],
-        )
-        rhs = assemble_rhs(field, g, material, fluxes)
-        mirrored_rhs = assemble_rhs(mirrored_field, g, material, mirrored_fluxes)
-        flipped = mirrored_rhs.reshape(g.K, g.J)[:, ::-1].reshape(-1)
-        assert flipped == pytest.approx(rhs, abs=1e-12)
+
+        def flip(values):
+            return values.reshape(K, J)[:, ::-1].reshape(-1)
+
+        cap = material.theta_cap
+        hot = np.indices((K, J)).sum(axis=0).reshape(-1) % 2
+        assert (flip(hot) == 1 - hot).all() == (J % 2 == 0)
+        phi = exchange.emitted_flux(np.array([0.0, cap]))
+        board = BoundaryFluxes(underside=np.full(J, 3e4), left=phi[hot[::J]],
+                               right=phi[hot[J - 1::J]], top=phi[hot[-J:]])
+        for field, fluxes in ((rng.uniform(0.0, cap, g.n_cells), random_fluxes(g, rng)),
+                              (cap * hot, board)):
+            mirrored_fluxes = BoundaryFluxes(
+                underside=fluxes.underside[::-1],
+                left=fluxes.right,
+                right=fluxes.left,
+                top=fluxes.top[::-1],
+            )
+            rhs = assemble_rhs(field, g, material, fluxes)
+            mirrored_rhs = assemble_rhs(flip(field), g, material, mirrored_fluxes)
+            assert flip(mirrored_rhs).tobytes() == rhs.tobytes()
+            stepped = step_forward_euler(field, rhs, 1e-3)
+            mirrored_step = step_forward_euler(flip(field), mirrored_rhs, 1e-3)
+            assert flip(mirrored_step).tobytes() == stepped.tobytes()
 
 
 class TestRhsBuffers:
