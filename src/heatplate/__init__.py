@@ -5,7 +5,7 @@ from .config import (ConfigError, dump_config, load_config, parse_config,
                      scenario_preset)
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank, DeviceSpec, SensorBank
-from .grid import Grid, PlateGeometry, stability_limit
+from .grid import Grid, PlateGeometry
 from .material import STEFAN_BOLTZMANN, SurfaceExchange, ThermalMaterial
 from .output import (render_heatmap, write_field_csv, write_run_outputs,
                      write_signals_csv)
@@ -13,7 +13,8 @@ from .simulation import (InitialCondition, SimulationConfig, SimulationResult,
                          TopsideStatistics, averaged_signals, build_banks,
                          initial_field, run_simulation, topside_statistics)
 from .solver import (BoundaryFluxes, assemble_rhs, boundary_fluxes,
-                     step_forward_euler, weighted_rhs_sum, worst_invalid_cell)
+                     stability_limit, step_forward_euler, weighted_rhs_sum,
+                     worst_invalid_cell)
 
 __version__ = "0.1.0"
 

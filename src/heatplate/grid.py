@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .material import ThermalMaterial
-
 # The most float64 values one array can hold: numpy indexes its bytes with
 # a signed pointer-sized integer.  No allocation can meet a size above this,
 # so it is a config error under the count that asks for it.
@@ -49,7 +47,7 @@ class Grid:
     the ghost-cell boundary substitution both need a distinct neighbor,
     and a field of J*K cells must fit one array, else the larger count (J on
     a tie) is rejected.
-    The stability advisory divides by the squared cell sizes in Python
+    The kernel and the advisory divide by the squared cell sizes in Python
     floats, so each square and its reciprocal must be finite and nonzero; a
     cell size that fails is blamed on the count when the length passes.
     """
@@ -102,17 +100,3 @@ class Grid:
         k, j = divmod(offset, self.J)
         return j, k
 
-
-def stability_limit(grid: Grid, material: ThermalMaterial, theta_ref: float) -> float:
-    """Largest non-amplifying forward-Euler step for the diffusion operator.
-
-    Standard explicit bound 1/(2*alpha*(1/dx1^2 + 1/dx2^2)), alpha =
-    lambda/(rho*c) at theta_ref, in numpy arithmetic, which reports an overflow
-    where a Python float would turn inf without a word.  Advisory only: nothing
-    enforces it, so deliberate divergence stays reproducible.  A config keeps
-    it at initial.base as `advisory_dt`; `heatplate check` prints it, and
-    `heatplate run` prints it on stderr only when dt exceeds it.
-    """
-    alpha = (material.thermal_conductivity(np.float64(theta_ref))
-             / material.volumetric_heat_coefficient(theta_ref))
-    return 1.0 / (2.0 * alpha * np.add(1.0 / grid.dx1**2, 1.0 / grid.dx2**2))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank, DeviceSpec, SensorBank
-from .grid import Grid
+from .grid import MAX_FLOATS, Grid
 from .material import SurfaceExchange, ThermalMaterial
 from .solver import (RhsBuffers, aligned_empty, assemble_rhs, boundary_fluxes,
                      check_admissible, step_forward_euler, worst_invalid_cell)
@@ -62,15 +62,11 @@ class SimulationConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt: must be > 0, got {self.dt}")
-        if not self.t_final > 0:
-            raise ValueError(f"t_final: must be > 0, got {self.t_final}")
         steps = self.t_final / self.dt
         if not (math.isfinite(steps) and round(steps) >= 1
                 and abs(steps - round(steps)) <= 1e-9 * steps):
-            raise ValueError(
-                "t_final: must be a whole number (>= 1) of steps dt, "
-                f"got t_final / dt = {steps!r}"
-            )
+            raise ValueError("t_final: must be a whole number (>= 1) of steps dt, "
+                             f"got t_final / dt = {steps!r}")
         for name in ("snapshot_stride", "signal_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name}: must be >= 1, got {getattr(self, name)}")
@@ -99,6 +95,10 @@ class SimulationConfig:
                 "sensors.count: channel pairing needs equal counts, got "
                 f"{self.sensors.count} sensors and {self.actuators.count} actuators"
             )
+        n, stride = self.n_steps(), self.signal_stride
+        if (n // stride + 2) * self.actuators.count > MAX_FLOATS:
+            raise ValueError(f"t_final: a log of {n} steps at stride {stride} has more "
+                             f"values than an array can hold ({MAX_FLOATS})")
         object.__setattr__(self, "advisory_dt", check_admissible(
             self.grid, self.material, self.exchange, self.controller, self.banks[0],
             self.dt, ic.base))

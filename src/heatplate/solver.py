@@ -26,7 +26,7 @@ import numpy as np
 
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank
-from .grid import Grid, PlateGeometry, stability_limit
+from .grid import Grid, PlateGeometry
 from .material import SurfaceExchange, ThermalMaterial
 
 
@@ -216,6 +216,21 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
     finite("time.dt", "the Euler step", step_forward_euler, cap * hot, rate, dt)
     return finite("material.lambda0", f"the explicit stability limit at {theta_ref} K",
                   stability_limit, grid, material, theta_ref)
+
+
+def stability_limit(grid: Grid, material: ThermalMaterial, theta_ref: float) -> float:
+    """Largest non-amplifying forward-Euler step for the diffusion operator.
+
+    Standard explicit bound 1/(2*alpha*(1/dx1^2 + 1/dx2^2)), alpha =
+    lambda/(rho*c) at theta_ref, in numpy arithmetic, which reports an overflow
+    where a Python float would turn inf without a word.  Advisory only, so
+    deliberate divergence stays reproducible.  The probe's last stage: a config
+    keeps it at initial.base as `advisory_dt`; `heatplate check` prints it, and
+    `heatplate run` prints it on stderr only when dt exceeds it.
+    """
+    alpha = (material.thermal_conductivity(np.float64(theta_ref))
+             / material.volumetric_heat_coefficient(theta_ref))
+    return 1.0 / (2.0 * alpha * np.add(1.0 / grid.dx1**2, 1.0 / grid.dx2**2))
 
 
 def worst_invalid_cell(field_values, theta_cap: float) -> int | None:

@@ -354,8 +354,9 @@ def test_unusable_out_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
 def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
     # caught as config errors: an ambient above the cap, an initial field
     # that takes the cosine of an infinite phase, a negative u_max that makes
-    # heaters cool, a cell whose reciprocal square overflows, and every
-    # document whose one-step probe faults, under the key of that stage
+    # heaters cool, a cell whose reciprocal square overflows, a signal log
+    # too large for one array, and every document whose one-step probe
+    # faults, under the key of that stage
     path = tmp_path / "hot.json"
     out = ["--out", str(tmp_path / "o")] if command == "run" else []
     on = "on [0, 3000.0] K faults:"
@@ -411,7 +412,12 @@ def test_ambient_above_theta_cap_exits_2(command, tmp_path, capsys):
              '"time": {"dt": 1e5, "t_final": 2e5}}',
              f"time.dt: the Euler step {on} overflow"),
             ('{"material": {"lambda0": 1e-320, "lambda1": 0}}',
-             "material.lambda0: the explicit stability limit at 300.0 K")):
+             "material.lambda0: the explicit stability limit at 300.0 K"),
+            ('{"time": {"dt": 1e-300, "t_final": 1e-281}}',
+             "time.t_final: a log of 10000000000000000000 steps at stride 1 has more "
+             "values than an array can hold"),
+            ('{"time": {"dt": 1e-300, "t_final": 1e-282}}',
+             "time.t_final: a log of 1000000000000000000 steps at stride 1 has more")):
         path.write_text(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -3,7 +3,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from heatplate import (ConfigError, ControllerConfig, DeviceSpec, Grid,
                        InitialCondition, PlateGeometry, SimulationConfig,
-                       SurfaceExchange, ThermalMaterial, dump_config, load_config,
-                       parse_config, proportional_law, run_simulation,
-                       scenario_preset, stability_limit, write_run_outputs)
+                       SurfaceExchange, ThermalMaterial, assemble_rhs,
+                       boundary_fluxes, dump_config, load_config, parse_config,
+                       proportional_law, run_simulation, scenario_preset,
+                       stability_limit, step_forward_euler, write_run_outputs)
 from heatplate.config import _scenario_document
 
 # log-uniform over [1e-300, 1e300]
@@ -45,6 +46,29 @@ def _small_document(values, J, K):
         doc.setdefault(section, {})[key] = value
     dt = doc.pop("time", {}).get("dt", 1e-3)
     return {**doc, "time": {"dt": dt, "t_final": 2 * dt}}
+
+
+# Accepted and rejected whole documents: 1-4 numeric keys of any section
+# drawn log-uniform, on small grids for two steps.
+SMALL_DOCUMENTS = st.builds(
+    _small_document,
+    st.dictionaries(st.sampled_from(FLOAT_KEYS), WIDE_LOG_UNIFORM, min_size=1, max_size=4),
+    st.sampled_from([2, 3, 4, 5, 8, 12]), st.sampled_from([2, 3, 6]))
+
+
+def _field(kind, levels, seed, grid, cap):
+    """A field on `grid` in [0, cap]: uniform, random 0 / cap, constant at
+    levels[0] * cap, drawn from the three levels * cap, or the probe's 0 K /
+    cap checkerboard over the whole grid."""
+    rng = np.random.default_rng(seed)
+    if kind == "checkerboard":
+        return cap * (np.indices((grid.K, grid.J)).sum(axis=0).reshape(-1) % 2)
+    if kind == "uniform":
+        return rng.uniform(0.0, cap, grid.n_cells)
+    if kind == "binary":
+        return cap * rng.integers(0, 2, grid.n_cells)
+    values = cap * np.asarray(levels)
+    return rng.choice(values[:1] if kind == "constant" else values, grid.n_cells)
 
 
 class TestDefaults:
@@ -124,6 +148,13 @@ class TestValidation:
         ('{"controller": {"y_ref": -1}}', r"controller\.y_ref"),
         ('{"controller": {"u_min": 10, "u_max": 5}}', r"controller\.u_min"),
         ('{"time": {"t_final": -1}}', r"time\.t_final"),
+        ('{"time": {"t_final": 0}}', r"time\.t_final: must be a whole number"),
+        # a signal log too large for one array, blamed on the horizon
+        ('{"time": {"dt": 1e-300, "t_final": 1e-281}}',
+         r"time\.t_final: a log of 10000000000000000000 steps at stride 1 has more "
+         r"values than an array can hold \(1152921504606846975\)$"),
+        ('{"time": {"dt": 1e-300, "t_final": 1e-282}}',
+         r"time\.t_final: a log of 1000000000000000000 steps at stride 1 has more"),
         ('{"time": {"signal_stride": 0}}', r"time\.signal_stride"),
         ('{"material": {"theta_cap": 0}}', r"material\.theta_cap"),
         # The kernel's one-step probe names the key of the stage that
@@ -265,11 +296,7 @@ class TestValidation:
         assert 0 < limit < math.inf
 
     @settings(max_examples=250, deadline=None)
-    @given(doc=st.builds(
-        _small_document,
-        st.dictionaries(st.sampled_from(FLOAT_KEYS), WIDE_LOG_UNIFORM,
-                        min_size=1, max_size=4),
-        st.sampled_from([2, 3, 4, 5, 8, 12]), st.sampled_from([2, 3, 6])))
+    @given(doc=SMALL_DOCUMENTS)
     @example(doc={"exchange": {"h": 1e308}, "time": {"t_final": 0.002}})
     @example(doc={"exchange": {"sigma": 1e300}, "time": {"t_final": 0.002}})
     @example(doc={"controller": {"kp": 1e308}, "time": {"t_final": 0.002}})
@@ -292,9 +319,8 @@ class TestValidation:
     @example(doc={"controller": {"u_min": 1e300}, "time": {"dt": 1e12, "t_final": 2e12}})
     @example(doc=json.loads(C1_NEGATIVE_HOT_UNDERSIDE))
     def test_accepted_boundary_terms_run_and_write_without_overflow(self, doc):
-        # Whole documents: 1-4 numeric keys of any section drawn log-uniform,
-        # on small grids for two steps.  A config that parses runs and writes
-        # its outputs with no RuntimeWarning, diverged or not.
+        # A config that parses runs and writes its outputs with no
+        # RuntimeWarning, diverged or not.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
@@ -305,6 +331,46 @@ class TestValidation:
             with tempfile.TemporaryDirectory() as out:
                 write_run_outputs(result, out)
 
+    @settings(max_examples=250, deadline=None)
+    @given(doc=SMALL_DOCUMENTS,
+           kind=st.sampled_from(["uniform", "binary", "constant", "levels"]),
+           levels=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(doc={}, kind="checkerboard", levels=[0.0] * 3, seed=0)
+    # rejected at the conduction (Phi/dx1^2, then the x2 rescale), emission
+    # and heating stages, so a probe that missed one would let these fault
+    @example(doc={"material": {"lambda0": 1e303}}, kind="checkerboard",
+             levels=[0.0] * 3, seed=0)
+    @example(doc={"geometry": {"H": 1e-130}, "material": {"lambda1": 1e150, "c1": 1e170},
+                  "time": {"dt": 1e-8, "t_final": 2e-8}},
+             kind="checkerboard", levels=[0.0] * 3, seed=0)
+    @example(doc={"material": {"rho": 1e-290, "lambda0": 1e-290, "lambda1": 0, "c1": 0},
+                  "exchange": {"h": 1e20}, "time": {"dt": 1e-5, "t_final": 2e-5}},
+             kind="checkerboard", levels=[0.0] * 3, seed=0)
+    @example(doc={"controller": {"kp": 1e305, "u_max": 1e307}}, kind="constant",
+             levels=[0.0] * 3, seed=0)
+    # rejected at the Euler step of x1 neighbours at 0 K and theta_cap: a
+    # board that alternated along x2 only would let the checkerboard fault
+    @example(doc={"geometry": {"L": 1e-120}, "time": {"dt": 1e160, "t_final": 2e160}},
+             kind="checkerboard", levels=[0.0] * 3, seed=0)
+    def test_accepted_configs_step_any_field_in_range_without_fault(
+            self, doc, kind, levels, seed):
+        # The probe's claim: a config it accepts faults on no field in
+        # [0, theta_cap], with the command the law gives on that field, not
+        # only along the run's own path.  Underflow is not a fault.
+        try:
+            cfg = parse_config(doc)
+        except ConfigError:
+            return
+        actuators, sensors = cfg.banks
+        theta = _field(kind, levels, seed, cfg.grid, cfg.material.theta_cap)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            y = sensors.measure(theta, cfg.grid)
+            u = proportional_law(cfg.controller, cfg.controller.y_ref - y)
+            fluxes = boundary_fluxes(theta, cfg.grid, cfg.exchange, actuators, u)
+            rhs = assemble_rhs(theta, cfg.grid, cfg.material, fluxes)
+            step_forward_euler(theta, rhs, cfg.dt)
+
     @pytest.mark.parametrize("section,key", [
         (section, key) for section, values in
         json.loads(dump_config(scenario_preset(1))).items() for key in values
@@ -313,6 +379,14 @@ class TestValidation:
         with pytest.raises(ConfigError) as info:
             parse_config({section: {key: "x"}})
         assert str(info.value).startswith(f"{section}.{key}:")
+
+    @pytest.mark.parametrize("t_final", [-1.0, 0.0, math.nan, math.inf])
+    def test_horizon_of_no_whole_steps_names_t_final(self, preset1, t_final):
+        # dt > 0 is checked first, so one rule rejects every t_final that is
+        # <= 0, NaN or infinite
+        with pytest.raises(ValueError, match=r"^t_final: must be a whole number "
+                                             r"\(>= 1\) of steps dt, got t_final / dt"):
+            replace(preset1, t_final=t_final)
 
     def test_horizon_within_rounding_of_whole_steps(self):
         # 0.05 / 1e-3 is 50.00000000000001 in floating point
