@@ -111,7 +111,8 @@ def render_heatmap(field_values, grid: Grid) -> bytes:
 def write_run_outputs(result: SimulationResult, out_dir, *,
                       render: bool = False) -> list[Path]:
     """Write final_field.csv, snapshot_NNNN.csv, signals.csv and optionally
-    heatmap.pgm into out_dir; returns the written paths.
+    heatmap.pgm into out_dir, deleting first any snapshot_*.csv or heatmap.pgm
+    there that this run does not write; returns the written paths.
 
     The CSV writers stream into the open files.  A snapshot that is the
     final field itself is copied from final_field.csv, not formatted again.
@@ -120,24 +121,26 @@ def write_run_outputs(result: SimulationResult, out_dir, *,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = result.config.grid
+    snapshots = [out / f"snapshot_{i:04d}.csv" for i in range(len(result.snapshots))]
+    heatmap = out / "heatmap.pgm" if render and not result.diverged else None
+    stale = {*out.glob("snapshot_*.csv"), out / "heatmap.pgm"} - {*snapshots, heatmap}
+    for path in stale:
+        path.unlink(missing_ok=True)
     written = []
 
-    def write_csv(name, writer, *args):
-        path = out / name
+    def write_csv(path, writer, *args):
         with path.open("w", encoding="utf-8", newline="\n") as file:
             writer(*args, file)
         written.append(path)
 
-    write_csv("final_field.csv", write_field_csv, result.final_field, grid)
-    for i, (_, snapshot) in enumerate(result.snapshots):
-        name = f"snapshot_{i:04d}.csv"
+    write_csv(out / "final_field.csv", write_field_csv, result.final_field, grid)
+    for path, (_, snapshot) in zip(snapshots, result.snapshots):
         if snapshot is result.final_field:
-            written.append(shutil.copyfile(out / "final_field.csv", out / name))
+            written.append(shutil.copyfile(out / "final_field.csv", path))
         else:
-            write_csv(name, write_field_csv, snapshot, grid)
-    write_csv("signals.csv", write_signals_csv, result)
-    if render and not result.diverged:
-        path = out / "heatmap.pgm"
-        path.write_bytes(render_heatmap(result.final_field, grid))
-        written.append(path)
+            write_csv(path, write_field_csv, snapshot, grid)
+    write_csv(out / "signals.csv", write_signals_csv, result)
+    if heatmap:
+        heatmap.write_bytes(render_heatmap(result.final_field, grid))
+        written.append(heatmap)
     return written

@@ -221,7 +221,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
             break
 
         fluxes = boundary_fluxes(theta, grid, exchange, actuators, u)
-        rhs = assemble_rhs(theta, grid, material, fluxes, buffers)
+        rhs = assemble_rhs(theta, material, fluxes, buffers)
         new = step_forward_euler(theta, rhs, cfg.dt, out=buffers.potential)
         theta, buffers.potential = new, theta
 

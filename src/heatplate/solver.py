@@ -56,7 +56,7 @@ def aligned_empty(n: int, lead: int = 0) -> np.ndarray:
 
 
 class RhsBuffers:
-    """Scratch arrays of `assemble_rhs` for one grid, reused call after call.
+    """The grid of `assemble_rhs` and its scratch arrays, reused call after call.
 
     `potential` (N cells) holds Phi/dx1^2 and then rho*c.  `faces` (N+1)
     holds one axis's face fluxes at a time: faces[i+1] is the flux into
@@ -104,27 +104,22 @@ def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
                           right=emitted[K:2 * K], top=emitted[2 * K:])
 
 
-def assemble_rhs(field_values, grid: Grid, material: ThermalMaterial,
-                 fluxes: BoundaryFluxes,
-                 buffers: RhsBuffers | None = None) -> np.ndarray:
+def assemble_rhs(field_values, material: ThermalMaterial, fluxes: BoundaryFluxes,
+                 buffers: RhsBuffers) -> np.ndarray:
     """Temperature rates dtheta/dt for every cell, K/s, in flat order.
 
     Per cell the flux balance N collects, per axis, (Phi(theta_neighbor) -
     Phi(theta_cell)) / dx^2 over interior faces plus phi/dx over boundary
     faces; corner cells get one boundary term per axis.  The rate is
-    N / (rho*c(theta_cell)).  The work happens in `buffers`, which must be
-    built for `grid`, or in fresh ones when None; the result is
-    `buffers.rate`, overwritten by the next call with the same buffers.
+    N / (rho*c(theta_cell)).  The work happens in `buffers`, whose grid is
+    the field's; the result is `buffers.rate`, overwritten by the next call
+    with the same buffers.
     """
-    if buffers is None:
-        buffers = RhsBuffers(grid)
-    elif buffers.grid is not grid and buffers.grid != grid:
-        raise ValueError("buffers were built for another grid")
-    J = grid.J
+    J, dx1, dx2 = buffers.grid.J, buffers.grid.dx1, buffers.grid.dx2
     theta = np.asarray(field_values).reshape(-1)
     potential, rate = buffers.potential, buffers.rate
-    np.multiply(material.lambda1 / (2 * grid.dx1**2), theta, out=potential)
-    np.add(material.lambda0 / grid.dx1**2, potential, out=potential)
+    np.multiply(material.lambda1 / (2 * dx1**2), theta, out=potential)
+    np.add(material.lambda0 / dx1**2, potential, out=potential)
     np.multiply(theta, potential, out=potential)
 
     # `potential` is Phi/dx1^2, so only the x2 fluxes need scaling.  Faces
@@ -140,14 +135,14 @@ def assemble_rhs(field_values, grid: Grid, material: ThermalMaterial,
 
     flux = buffers.x2_faces
     np.subtract(potential[J:], potential[:-J], out=flux)
-    flux *= grid.dx1**2 / grid.dx2**2
+    flux *= dx1**2 / dx2**2
     buffers.under_x2 += flux
     buffers.over_x2 -= flux
 
-    buffers.left += fluxes.left / grid.dx1
-    buffers.right += fluxes.right / grid.dx1
-    buffers.underside += fluxes.underside / grid.dx2
-    buffers.top += fluxes.top / grid.dx2
+    buffers.left += fluxes.left / dx1
+    buffers.right += fluxes.right / dx1
+    buffers.underside += fluxes.underside / dx2
+    buffers.top += fluxes.top / dx2
 
     rate /= material.volumetric_heat_coefficient(theta, out=potential)
     return rate
@@ -205,10 +200,11 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
     plate = Grid(PlateGeometry(J * grid.dx1,
                                grid.geometry.H if grid.K <= 4 else 4 * grid.dx2), J, K)
     hot = np.indices((K, J)).sum(axis=0).reshape(-1) % 2  # 1 at theta_cap, 0 at 0 K
+    buffers = RhsBuffers(plate)
 
     def rates(phi=0 * ends, heat=0):
-        return assemble_rhs(cap * hot, plate, material, BoundaryFluxes(
-            np.full(J, heat), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]]))
+        return assemble_rhs(cap * hot, material, BoundaryFluxes(
+            np.full(J, heat), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]]), buffers)
 
     finite(conduction, "the conduction rates", rates)
     finite(emission, "the rates with emission", rates, phi)

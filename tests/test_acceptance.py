@@ -22,6 +22,7 @@ from heatplate import (BoundaryFluxes, Grid, PlateGeometry, SurfaceExchange,
 from heatplate.cli import main
 from heatplate.control import ControllerConfig
 from heatplate.simulation import InitialCondition
+from heatplate.solver import RhsBuffers
 
 from test_solver import ghost_cell_rhs, random_fluxes, zero_fluxes
 
@@ -78,7 +79,7 @@ def test_conservation(preset1):
         area = grid.dx1 * grid.dx2
         dt = preset1.dt
         for _ in range(preset1.n_steps()):
-            rhs = assemble_rhs(field, grid, material, fluxes)
+            rhs = assemble_rhs(field, material, fluxes, RhsBuffers(grid))
             increment = dt * weighted_rhs_sum(field, rhs, grid, material)
             gross = dt * float(np.sum(np.abs(
                 material.volumetric_heat_coefficient(field) * rhs)) * area)
@@ -93,7 +94,7 @@ def test_conservation(preset1):
             g = Grid(PlateGeometry(0.3, 0.01), J=J, K=K)
             rand_field = rng.uniform(250.0, 450.0, g.n_cells)
             rand_fluxes = random_fluxes(g, rng, scale=1e4)
-            rhs = assemble_rhs(rand_field, g, material, rand_fluxes)
+            rhs = assemble_rhs(rand_field, material, rand_fluxes, RhsBuffers(g))
             total = weighted_rhs_sum(rand_field, rhs, g, material)
             boundary = (g.dx2 * (rand_fluxes.left.sum() + rand_fluxes.right.sum())
                         + g.dx1 * (rand_fluxes.top.sum() + rand_fluxes.underside.sum()))
@@ -150,7 +151,7 @@ def test_oracle_equivalence(preset1):
             g = Grid(PlateGeometry(0.3, 0.01), J=n, K=n)
             field = rng.uniform(250.0, 450.0, g.n_cells)
             fluxes = random_fluxes(g, rng)
-            got = assemble_rhs(field, g, material, fluxes)
+            got = assemble_rhs(field, material, fluxes, RhsBuffers(g))
             want = ghost_cell_rhs(field, g, material, fluxes)
             assert got == pytest.approx(want, rel=1e-12)
 

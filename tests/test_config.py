@@ -18,6 +18,7 @@ from heatplate import (ConfigError, ControllerConfig, DeviceSpec, Grid,
                        proportional_law, run_simulation, scenario_preset,
                        stability_limit, step_forward_euler, write_run_outputs)
 from heatplate.config import _scenario_document
+from heatplate.solver import RhsBuffers
 
 # log-uniform over [1e-300, 1e300]
 LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda exponent: 10.0 ** exponent)
@@ -368,7 +369,7 @@ class TestValidation:
             y = sensors.measure(theta, cfg.grid)
             u = proportional_law(cfg.controller, cfg.controller.y_ref - y)
             fluxes = boundary_fluxes(theta, cfg.grid, cfg.exchange, actuators, u)
-            rhs = assemble_rhs(theta, cfg.grid, cfg.material, fluxes)
+            rhs = assemble_rhs(theta, cfg.material, fluxes, RhsBuffers(cfg.grid))
             step_forward_euler(theta, rhs, cfg.dt)
 
     @pytest.mark.parametrize("section,key", [

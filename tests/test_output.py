@@ -225,6 +225,20 @@ class TestRunOutputs:
         assert not (tmp_path / "heatmap.pgm").exists()
         assert tmp_path / "final_field.csv" in written
 
+    def test_reused_directory_keeps_no_earlier_snapshot_or_heatmap(self, tmp_path):
+        # A diverged run into the directory of a rendered one with more
+        # snapshots: the earlier heatmap and surplus snapshots go, a file
+        # that is not an output name stays.
+        first = run_simulation(short_config(t_final=0.004, snapshot_stride=1))
+        assert len(first.snapshots) == 5
+        write_run_outputs(first, tmp_path, render=True)
+        notes = tmp_path / "notes.txt"
+        notes.write_text("kept\n")
+        second = capped_run(snapshot_stride=2)
+        assert second.diverged and len(second.snapshots) == 2
+        written = write_run_outputs(second, tmp_path, render=True)
+        assert sorted(tmp_path.iterdir()) == sorted([*written, notes])
+
 
 def capped_run(**overrides):
     """A short run whose heaters push the underside past a low theta_cap."""

@@ -130,17 +130,18 @@ class TestScenarioPresets:
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_probe_steps_one_checkerboard(self, which, monkeypatch):
-        # The admissibility probe steps one checkerboard: three assemble_rhs
-        # calls and one Euler step, so rho*c is evaluated 5 times (its own
-        # stage, three rates and the advisory) and the emission once.  The
-        # traced benchmark wraps these two material methods and charges their
-        # config-time calls to per-step stages, so each one added here eats
-        # into the slack of its partition check.
+        # The admissibility probe steps one checkerboard in one set of
+        # buffers: three assemble_rhs calls and one Euler step, so rho*c is
+        # evaluated 5 times (its own stage, three rates and the advisory) and
+        # the emission once.  The traced benchmark wraps these two material
+        # methods and charges their config-time calls to per-step stages, so
+        # each one added here eats into the slack of its partition check.
         from heatplate import solver
         document = dump_config(scenario_preset(which))
         targets = ((ThermalMaterial, "volumetric_heat_coefficient"),
                    (SurfaceExchange, "emitted_flux"),
-                   (solver, "assemble_rhs"), (solver, "step_forward_euler"))
+                   (solver, "RhsBuffers"), (solver, "assemble_rhs"),
+                   (solver, "step_forward_euler"))
         counts = {name: 0 for _, name in targets}
 
         def counting(name, original):
@@ -153,7 +154,7 @@ class TestScenarioPresets:
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         load_config(document)
         assert counts == {"volumetric_heat_coefficient": 5, "emitted_flux": 1,
-                          "assemble_rhs": 3, "step_forward_euler": 1}
+                          "RhsBuffers": 1, "assemble_rhs": 3, "step_forward_euler": 1}
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ValueError):
