@@ -12,20 +12,19 @@ from .output import (render_heatmap, write_field_csv, write_run_outputs,
 from .simulation import (InitialCondition, SimulationConfig, SimulationResult,
                          TopsideStatistics, averaged_signals, build_banks,
                          initial_field, run_simulation, topside_statistics)
-from .solver import (BoundaryFluxes, assemble_rhs, boundary_fluxes,
-                     stability_limit, step_forward_euler, weighted_rhs_sum,
-                     worst_invalid_cell)
+from .solver import (assemble_rhs, boundary_fluxes, stability_limit,
+                     step_forward_euler, weighted_rhs_sum, worst_invalid_cell)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActuatorBank", "BoundaryFluxes", "ConfigError", "ControllerConfig",
-    "DeviceSpec", "Grid", "InitialCondition", "PlateGeometry",
-    "STEFAN_BOLTZMANN", "SensorBank", "SimulationConfig", "SimulationResult",
-    "SurfaceExchange", "ThermalMaterial", "TopsideStatistics", "assemble_rhs",
-    "averaged_signals", "boundary_fluxes", "build_banks", "dump_config",
-    "initial_field", "load_config", "parse_config", "proportional_law",
-    "render_heatmap", "run_simulation", "scenario_preset", "stability_limit",
+    "ActuatorBank", "ConfigError", "ControllerConfig", "DeviceSpec", "Grid",
+    "InitialCondition", "PlateGeometry", "STEFAN_BOLTZMANN", "SensorBank",
+    "SimulationConfig", "SimulationResult", "SurfaceExchange",
+    "ThermalMaterial", "TopsideStatistics", "assemble_rhs", "averaged_signals",
+    "boundary_fluxes", "build_banks", "dump_config", "initial_field",
+    "load_config", "parse_config", "proportional_law", "render_heatmap",
+    "run_simulation", "scenario_preset", "stability_limit",
     "step_forward_euler", "topside_statistics", "weighted_rhs_sum",
     "worst_invalid_cell", "write_field_csv", "write_run_outputs",
     "write_signals_csv",

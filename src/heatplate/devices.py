@@ -138,10 +138,11 @@ class ActuatorBank:
 
 @dataclass(frozen=True, eq=False)
 class SensorBank:
-    """Topside sensors: weighted averages of the topside temperature row."""
+    """Topside sensors: weighted averages of the topside row of their grid."""
 
     weight_table: np.ndarray = field(repr=False)  # (count, J)
     mass: np.ndarray = field(repr=False)          # (count,) = sum_j g*dx1
+    grid: Grid
 
     @classmethod
     def build(cls, grid: Grid, spec: DeviceSpec) -> "SensorBank":
@@ -150,20 +151,20 @@ class SensorBank:
         if not (mass > 0).all():  # positive weights whose sum * dx1 underflows
             raise ValueError(f"{'M' if spec.M else 'm'}: sensor {int(np.argmin(mass))} "
                              "has a quadrature mass that underflows to 0")
-        return cls(table, mass)
+        return cls(table, mass, grid)
 
     @property
     def count(self) -> int:
         return len(self.weight_table)
 
-    def measure(self, field_values, grid: Grid) -> np.ndarray:
-        """Sensor outputs y for a temperature field, Kelvin.
+    def measure(self, field_values) -> np.ndarray:
+        """Sensor outputs y for a temperature field on the bank's grid, Kelvin.
 
         y[n] = sum_j g_n(x_j)*theta(x_j, topside)*dx1 / mass[n], a convex
         combination of the topside row, so each reading lies between that
         row's min and max.
         """
-        field_values = np.asarray(field_values)
+        grid, field_values = self.grid, np.asarray(field_values)
         if field_values.shape != (grid.n_cells,):
             raise ValueError(
                 f"expected a field of {grid.n_cells} cells, got {field_values.shape}"

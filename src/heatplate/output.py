@@ -8,6 +8,7 @@ use LF line endings and UTF-8.
 
 from __future__ import annotations
 
+import re
 import shutil
 import weakref
 from pathlib import Path
@@ -111,8 +112,8 @@ def render_heatmap(field_values, grid: Grid) -> bytes:
 def write_run_outputs(result: SimulationResult, out_dir, *,
                       render: bool = False) -> list[Path]:
     """Write final_field.csv, snapshot_NNNN.csv, signals.csv and optionally
-    heatmap.pgm into out_dir, deleting first any snapshot_*.csv or heatmap.pgm
-    there that this run does not write; returns the written paths.
+    heatmap.pgm into out_dir, deleting first any heatmap.pgm or snapshot_NNNN.csv
+    (4+ digits) there that this run does not write; returns the written paths.
 
     The CSV writers stream into the open files.  A snapshot that is the
     final field itself is copied from final_field.csv, not formatted again.
@@ -123,9 +124,10 @@ def write_run_outputs(result: SimulationResult, out_dir, *,
     grid = result.config.grid
     snapshots = [out / f"snapshot_{i:04d}.csv" for i in range(len(result.snapshots))]
     heatmap = out / "heatmap.pgm" if render and not result.diverged else None
-    stale = {*out.glob("snapshot_*.csv"), out / "heatmap.pgm"} - {*snapshots, heatmap}
-    for path in stale:
-        path.unlink(missing_ok=True)
+    earlier = {path for path in out.iterdir()
+               if re.fullmatch(r"snapshot_[0-9]{4,}\.csv|heatmap\.pgm", path.name)}
+    for path in earlier - {*snapshots, heatmap}:
+        path.unlink()
     written = []
 
     def write_csv(path, writer, *args):

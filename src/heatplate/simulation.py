@@ -207,7 +207,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     for step in range(n_steps + 1):
         # The closing sample, step n_steps, logs the final field's readings
         # and the inputs they would command, then leaves before stepping.
-        y = sensors.measure(theta, grid)
+        y = sensors.measure(theta)
         u = proportional_law(cfg.controller, cfg.controller.y_ref - y)
         closing = step == n_steps
         if closing or step % cfg.signal_stride == 0:

@@ -20,24 +20,12 @@ are those of a fresh temporary per operation, so the bits are the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .control import ControllerConfig, proportional_law
 from .devices import ActuatorBank
 from .grid import Grid, PlateGeometry
 from .material import SurfaceExchange, ThermalMaterial
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryFluxes:
-    """Prescribed fluxes on the four boundaries, W/m^2, positive inward."""
-
-    underside: np.ndarray = field(repr=False)  # (J,) actuator-induced
-    left: np.ndarray = field(repr=False)       # (K,)
-    right: np.ndarray = field(repr=False)      # (K,)
-    top: np.ndarray = field(repr=False)        # (J,)
 
 
 def aligned_empty(n: int, lead: int = 0) -> np.ndarray:
@@ -88,8 +76,9 @@ class RhsBuffers:
 
 
 def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
-                    actuators: ActuatorBank, u) -> BoundaryFluxes:
-    """Evaluate all boundary fluxes for the current field and inputs.
+                    actuators: ActuatorBank, u) -> tuple:
+    """Prescribed fluxes on the four boundaries, W/m^2, positive inward, as
+    the arrays (underside, left, right, top) of lengths J, K, K and J.
 
     Emission is evaluated at the boundary cell's center temperature.  The
     underside receives the induced actuator flux only.
@@ -100,20 +89,20 @@ def boundary_fluxes(field_values, grid: Grid, exchange: SurfaceExchange,
     # The left column, right column and topside row, as RhsBuffers slices them
     emitted = exchange.emitted_flux(
         np.concatenate((theta[::J], theta[J - 1::J], theta[-J:])))
-    return BoundaryFluxes(underside=phi_in, left=emitted[:K],
-                          right=emitted[K:2 * K], top=emitted[2 * K:])
+    return phi_in, emitted[:K], emitted[K:2 * K], emitted[2 * K:]
 
 
-def assemble_rhs(field_values, material: ThermalMaterial, fluxes: BoundaryFluxes,
+def assemble_rhs(field_values, material: ThermalMaterial, fluxes,
                  buffers: RhsBuffers) -> np.ndarray:
     """Temperature rates dtheta/dt for every cell, K/s, in flat order.
 
     Per cell the flux balance N collects, per axis, (Phi(theta_neighbor) -
     Phi(theta_cell)) / dx^2 over interior faces plus phi/dx over boundary
-    faces; corner cells get one boundary term per axis.  The rate is
-    N / (rho*c(theta_cell)).  The work happens in `buffers`, whose grid is
-    the field's; the result is `buffers.rate`, overwritten by the next call
-    with the same buffers.
+    faces; corner cells get one boundary term per axis.  `fluxes` are the
+    boundary arrays (underside, left, right, top) that `boundary_fluxes`
+    returns.  The rate is N / (rho*c(theta_cell)).  The work happens in
+    `buffers`, whose grid is the field's; the result is `buffers.rate`,
+    overwritten by the next call with the same buffers.
     """
     J, dx1, dx2 = buffers.grid.J, buffers.grid.dx1, buffers.grid.dx2
     theta = np.asarray(field_values).reshape(-1)
@@ -139,10 +128,11 @@ def assemble_rhs(field_values, material: ThermalMaterial, fluxes: BoundaryFluxes
     buffers.under_x2 += flux
     buffers.over_x2 -= flux
 
-    buffers.left += fluxes.left / dx1
-    buffers.right += fluxes.right / dx1
-    buffers.underside += fluxes.underside / dx2
-    buffers.top += fluxes.top / dx2
+    underside, left, right, top = fluxes
+    buffers.left += left / dx1
+    buffers.right += right / dx1
+    buffers.underside += underside / dx2
+    buffers.top += top / dx2
 
     rate /= material.volumetric_heat_coefficient(theta, out=potential)
     return rate
@@ -203,7 +193,7 @@ def check_admissible(grid: Grid, material: ThermalMaterial, exchange: SurfaceExc
     buffers = RhsBuffers(plate)
 
     def rates(phi=0 * ends, heat=0):
-        return assemble_rhs(cap * hot, material, BoundaryFluxes(
+        return assemble_rhs(cap * hot, material, (
             np.full(J, heat), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]]), buffers)
 
     finite(conduction, "the conduction rates", rates)

@@ -13,12 +13,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from heatplate import (BoundaryFluxes, Grid, PlateGeometry, SurfaceExchange,
-                       ThermalMaterial, assemble_rhs, averaged_signals,
-                       boundary_fluxes, initial_field, load_config,
-                       run_simulation, scenario_preset, stability_limit,
-                       step_forward_euler, topside_statistics, weighted_rhs_sum,
-                       write_field_csv)
+from heatplate import (Grid, PlateGeometry, SurfaceExchange, ThermalMaterial,
+                       assemble_rhs, averaged_signals, boundary_fluxes,
+                       initial_field, load_config, run_simulation,
+                       scenario_preset, stability_limit, step_forward_euler,
+                       topside_statistics, weighted_rhs_sum, write_field_csv)
 from heatplate.cli import main
 from heatplate.control import ControllerConfig
 from heatplate.simulation import InitialCondition
@@ -96,8 +95,9 @@ def test_conservation(preset1):
             rand_fluxes = random_fluxes(g, rng, scale=1e4)
             rhs = assemble_rhs(rand_field, material, rand_fluxes, RhsBuffers(g))
             total = weighted_rhs_sum(rand_field, rhs, g, material)
-            boundary = (g.dx2 * (rand_fluxes.left.sum() + rand_fluxes.right.sum())
-                        + g.dx1 * (rand_fluxes.top.sum() + rand_fluxes.underside.sum()))
+            underside, left, right, top = rand_fluxes
+            boundary = (g.dx2 * (left.sum() + right.sum())
+                        + g.dx1 * (top.sum() + underside.sum()))
             gross = float(np.sum(np.abs(
                 material.volumetric_heat_coefficient(rand_field) * rhs
             )) * g.dx1 * g.dx2)

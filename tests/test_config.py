@@ -366,7 +366,7 @@ class TestValidation:
         actuators, sensors = cfg.banks
         theta = _field(kind, levels, seed, cfg.grid, cfg.material.theta_cap)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            y = sensors.measure(theta, cfg.grid)
+            y = sensors.measure(theta)
             u = proportional_law(cfg.controller, cfg.controller.y_ref - y)
             fluxes = boundary_fluxes(theta, cfg.grid, cfg.exchange, actuators, u)
             rhs = assemble_rhs(theta, cfg.material, fluxes, RhsBuffers(cfg.grid))

@@ -257,17 +257,21 @@ class TestSensorBank:
 
 
 class TestMeasure:
-    def test_uniform_field(self, sensor_bank, grid):
-        field = np.full(grid.n_cells, 350.0)
-        assert sensor_bank.measure(field, grid) == pytest.approx(
-            np.full(5, 350.0), rel=1e-12)
+    @pytest.mark.parametrize("L", [0.3, 0.6])
+    def test_uniform_field(self, grid, L):
+        # each bank reads with the dx1 of the grid it was built on, so a
+        # plate twice as long of equal J x K reads the same temperature
+        plate = Grid(PlateGeometry(L, grid.geometry.H), grid.J, grid.K)
+        bank = SensorBank.build(plate, DeviceSpec(5, m=1.0, M=10.0, nu=4.0))
+        field = np.full(plate.n_cells, 350.0)
+        assert bank.measure(field) == pytest.approx(np.full(5, 350.0), rel=1e-12)
 
     def test_indicator_sensors_average_partition(self, grid):
         bank = SensorBank.build(grid, DeviceSpec(5, m=1.0, M=0.0, nu=4.0))
         field = np.zeros(grid.n_cells)
         top = 300.0 + 100.0 * grid.x1_centers() / 0.30
         field[(grid.K - 1) * grid.J:] = top
-        y = bank.measure(field, grid)
+        y = bank.measure(field)
         expected = [top[20 * n:20 * (n + 1)].mean() for n in range(5)]
         assert y == pytest.approx(expected, rel=1e-12)
 
@@ -276,7 +280,7 @@ class TestMeasure:
         x = grid.x1_centers()
         top = 300.0 + 100.0 * x / 0.30
         field[(grid.K - 1) * grid.J:] = top
-        y = sensor_bank.measure(field, grid)
+        y = sensor_bank.measure(field)
         # brute-force quadrature, one python loop per sensor
         expected = []
         for part in partitions(0.30, 5):
@@ -297,7 +301,7 @@ class TestMeasure:
         for _ in range(20):
             field = rng.uniform(250.0, 500.0, grid.n_cells)
             top = field[(grid.K - 1) * grid.J:]
-            y = sensor_bank.measure(field, grid)
+            y = sensor_bank.measure(field)
             assert (y >= top.min() - 1e-9).all()
             assert (y <= top.max() + 1e-9).all()
 
@@ -308,8 +312,8 @@ class TestMeasure:
         half = SensorBank.build(grid, DeviceSpec(5, m=0.5, M=10.0, nu=4.0))
         rng = np.random.default_rng(5)
         field = rng.uniform(250.0, 500.0, grid.n_cells)
-        assert (full.measure(field, grid) == half.measure(field, grid)).all()
+        assert (full.measure(field) == half.measure(field)).all()
 
     def test_rejects_wrong_field_size(self, sensor_bank, grid):
         with pytest.raises(ValueError, match="cells"):
-            sensor_bank.measure(np.zeros(grid.n_cells - 1), grid)
+            sensor_bank.measure(np.zeros(grid.n_cells - 1))

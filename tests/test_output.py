@@ -227,17 +227,18 @@ class TestRunOutputs:
 
     def test_reused_directory_keeps_no_earlier_snapshot_or_heatmap(self, tmp_path):
         # A diverged run into the directory of a rendered one with more
-        # snapshots: the earlier heatmap and surplus snapshots go, a file
-        # that is not an output name stays.
+        # snapshots: the earlier heatmap and surplus snapshots go, files
+        # that are not output names stay.
         first = run_simulation(short_config(t_final=0.004, snapshot_stride=1))
         assert len(first.snapshots) == 5
         write_run_outputs(first, tmp_path, render=True)
-        notes = tmp_path / "notes.txt"
-        notes.write_text("kept\n")
+        notes = [tmp_path / "notes.txt", tmp_path / "snapshot_notes.csv"]
+        for path in notes:
+            path.write_text("kept\n")
         second = capped_run(snapshot_stride=2)
         assert second.diverged and len(second.snapshots) == 2
         written = write_run_outputs(second, tmp_path, render=True)
-        assert sorted(tmp_path.iterdir()) == sorted([*written, notes])
+        assert sorted(tmp_path.iterdir()) == sorted([*written, *notes])
 
 
 def capped_run(**overrides):

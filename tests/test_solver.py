@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from hypothesis.extra.numpy import arrays
 
-from heatplate import (ActuatorBank, BoundaryFluxes, DeviceSpec, Grid,
-                       PlateGeometry, SurfaceExchange, ThermalMaterial,
-                       assemble_rhs, boundary_fluxes, step_forward_euler,
-                       stability_limit, weighted_rhs_sum, worst_invalid_cell)
+from heatplate import (ActuatorBank, DeviceSpec, Grid, PlateGeometry,
+                       SurfaceExchange, ThermalMaterial, assemble_rhs,
+                       boundary_fluxes, step_forward_euler, stability_limit,
+                       weighted_rhs_sum, worst_invalid_cell)
 from heatplate.solver import RhsBuffers
 
 INSULATED = SurfaceExchange(h=0.0, emissivity=0.0, theta_amb=300.0)
@@ -19,17 +19,13 @@ def make_bank(grid, M=0.0, count=5):
 
 
 def zero_fluxes(grid):
-    return BoundaryFluxes(underside=np.zeros(grid.J), left=np.zeros(grid.K),
-                          right=np.zeros(grid.K), top=np.zeros(grid.J))
+    """Boundary fluxes (underside, left, right, top), all zero."""
+    return np.zeros(grid.J), np.zeros(grid.K), np.zeros(grid.K), np.zeros(grid.J)
 
 
 def random_fluxes(grid, rng, scale=2e3):
-    return BoundaryFluxes(
-        underside=rng.uniform(-scale, scale, grid.J),
-        left=rng.uniform(-scale, scale, grid.K),
-        right=rng.uniform(-scale, scale, grid.K),
-        top=rng.uniform(-scale, scale, grid.J),
-    )
+    """Boundary fluxes (underside, left, right, top), uniform in +-scale."""
+    return tuple(rng.uniform(-scale, scale, n) for n in (grid.J, grid.K, grid.K, grid.J))
 
 
 def face_conductivity(material, theta_a, theta_b):
@@ -50,6 +46,7 @@ def ghost_cell_rhs(field, grid, material, fluxes):
     """
     J, K, dx1, dx2 = grid.J, grid.K, grid.dx1, grid.dx2
     T = np.asarray(field).reshape(K, J)
+    underside, left, right, top = fluxes
 
     def ghost(theta, phi, dx):
         lam = material.thermal_conductivity(theta)
@@ -67,14 +64,14 @@ def ghost_cell_rhs(field, grid, material, fluxes):
         for j in range(J):
             tc = T[k, j]
             # x1 neighbors, ghosts at the lateral boundaries
-            te = T[k, j + 1] if j + 1 < J else ghost(tc, fluxes.right[k], dx1)
-            tw = T[k, j - 1] if j - 1 >= 0 else ghost(tc, fluxes.left[k], dx1)
+            te = T[k, j + 1] if j + 1 < J else ghost(tc, right[k], dx1)
+            tw = T[k, j - 1] if j - 1 >= 0 else ghost(tc, left[k], dx1)
             le = face_conductivity(material, tc, te)
             lw = face_conductivity(material, tc, tw)
             q1 = (le * te + lw * tw - (le + lw) * tc) / dx1**2
             # x2 neighbors, ghosts at topside/underside
-            tn = T[k + 1, j] if k + 1 < K else ghost(tc, fluxes.top[j], dx2)
-            ts = T[k - 1, j] if k - 1 >= 0 else ghost(tc, fluxes.underside[j], dx2)
+            tn = T[k + 1, j] if k + 1 < K else ghost(tc, top[j], dx2)
+            ts = T[k - 1, j] if k - 1 >= 0 else ghost(tc, underside[j], dx2)
             ln = face_conductivity(material, tc, tn)
             ls = face_conductivity(material, tc, ts)
             q2 = (ln * tn + ls * ts - (ln + ls) * tc) / dx2**2
@@ -86,6 +83,7 @@ def face_conductivity_rhs(field, grid, material, fluxes):
     """Oracle in the conductivity form: each face flux is the conductivity
     at the mean face temperature times the temperature difference."""
     T = np.asarray(field).reshape(grid.K, grid.J)
+    underside, left, right, top = fluxes
     balance = np.zeros_like(T)
     f1 = face_conductivity(material, T[:, :-1], T[:, 1:]) * (T[:, 1:] - T[:, :-1])
     balance[:, :-1] += f1 / grid.dx1**2
@@ -93,10 +91,10 @@ def face_conductivity_rhs(field, grid, material, fluxes):
     f2 = face_conductivity(material, T[:-1, :], T[1:, :]) * (T[1:, :] - T[:-1, :])
     balance[:-1, :] += f2 / grid.dx2**2
     balance[1:, :] -= f2 / grid.dx2**2
-    balance[:, 0] += fluxes.left / grid.dx1
-    balance[:, -1] += fluxes.right / grid.dx1
-    balance[0, :] += fluxes.underside / grid.dx2
-    balance[-1, :] += fluxes.top / grid.dx2
+    balance[:, 0] += left / grid.dx1
+    balance[:, -1] += right / grid.dx1
+    balance[0, :] += underside / grid.dx2
+    balance[-1, :] += top / grid.dx2
     return (balance / material.volumetric_heat_coefficient(T)).reshape(-1)
 
 
@@ -115,10 +113,11 @@ def allocating_rhs(field, grid, material, fluxes):
     flux *= grid.dx1**2 / grid.dx2**2
     balance[:-J] += flux
     balance[J:] -= flux
-    balance[::J] += fluxes.left / grid.dx1
-    balance[J - 1::J] += fluxes.right / grid.dx1
-    balance[:J] += fluxes.underside / grid.dx2
-    balance[-J:] += fluxes.top / grid.dx2
+    underside, left, right, top = fluxes
+    balance[::J] += left / grid.dx1
+    balance[J - 1::J] += right / grid.dx1
+    balance[:J] += underside / grid.dx2
+    balance[-J:] += top / grid.dx2
     balance /= theta * (material.rho * material.c1) + material.rho * material.c0
     return balance
 
@@ -144,31 +143,34 @@ class TestBoundaryFluxes:
     def test_equilibrium_is_all_zero(self, grid, exchange):
         field = np.full(grid.n_cells, 300.0)
         fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.zeros(5))
-        for arr in (fl.underside, fl.left, fl.right, fl.top):
+        for arr in fl:
             assert (arr == 0.0).all()
 
     def test_hot_plate_emits_everywhere(self, grid, exchange):
         field = np.full(grid.n_cells, 400.0)
-        fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.zeros(5))
-        for arr in (fl.left, fl.right, fl.top):
+        underside, *emitting = boundary_fluxes(field, grid, exchange, make_bank(grid),
+                                               np.zeros(5))
+        for arr in emitting:
             assert arr == pytest.approx(np.full_like(arr, -1595.35), abs=0.01)
-        assert (fl.underside == 0.0).all()
+        assert (underside == 0.0).all()
 
     def test_uniform_input_on_flat_bank(self, grid, exchange):
         field = np.full(grid.n_cells, 300.0)
         p = 1e5
-        fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.full(5, p))
-        assert (fl.underside == p).all()
-        assert (fl.top == 0.0).all() and (fl.left == 0.0).all()
+        underside, left, _, top = boundary_fluxes(field, grid, exchange, make_bank(grid),
+                                                  np.full(5, p))
+        assert (underside == p).all()
+        assert (top == 0.0).all() and (left == 0.0).all()
 
     def test_edges_match_per_edge_emission(self, grid, exchange):
         rng = np.random.default_rng(5)
         field = rng.uniform(250.0, 450.0, grid.n_cells)
         T = field.reshape(grid.K, grid.J)
-        fl = boundary_fluxes(field, grid, exchange, make_bank(grid), np.zeros(5))
-        assert fl.left == pytest.approx(exchange.emitted_flux(T[:, 0]), rel=1e-14)
-        assert fl.right == pytest.approx(exchange.emitted_flux(T[:, -1]), rel=1e-14)
-        assert fl.top == pytest.approx(exchange.emitted_flux(T[-1, :]), rel=1e-14)
+        _, left, right, top = boundary_fluxes(field, grid, exchange, make_bank(grid),
+                                              np.zeros(5))
+        assert left == pytest.approx(exchange.emitted_flux(T[:, 0]), rel=1e-14)
+        assert right == pytest.approx(exchange.emitted_flux(T[:, -1]), rel=1e-14)
+        assert top == pytest.approx(exchange.emitted_flux(T[-1, :]), rel=1e-14)
 
 
 class TestAssembleRhs:
@@ -231,10 +233,8 @@ class TestAssembleRhs:
         g = Grid(PlateGeometry(0.3, 0.01), J=7, K=5)
         rows = 250.0 + 12.5 * np.arange(g.K) ** 2
         field = np.repeat(rows, g.J)
-        fluxes = BoundaryFluxes(underside=np.full(g.J, 4e3),
-                                left=np.full(g.K, lateral),
-                                right=np.full(g.K, lateral),
-                                top=np.full(g.J, -2e3))
+        fluxes = (np.full(g.J, 4e3), np.full(g.K, lateral), np.full(g.K, lateral),
+                  np.full(g.J, -2e3))
         rates = assemble_rhs(field, material, fluxes, RhsBuffers(g)).reshape(g.K, g.J)
         assert (rates[:, 1:-1] == rates[:, [1]]).all()
         assert (rates[:, 0] == rates[:, -1]).all()
@@ -258,16 +258,11 @@ class TestAssembleRhs:
         hot = np.indices((K, J)).sum(axis=0).reshape(-1) % 2
         assert (flip(hot) == 1 - hot).all() == (J % 2 == 0)
         phi = exchange.emitted_flux(np.array([0.0, cap]))
-        board = BoundaryFluxes(underside=np.full(J, 3e4), left=phi[hot[::J]],
-                               right=phi[hot[J - 1::J]], top=phi[hot[-J:]])
+        board = (np.full(J, 3e4), phi[hot[::J]], phi[hot[J - 1::J]], phi[hot[-J:]])
         for field, fluxes in ((rng.uniform(0.0, cap, g.n_cells), random_fluxes(g, rng)),
                               (cap * hot, board)):
-            mirrored_fluxes = BoundaryFluxes(
-                underside=fluxes.underside[::-1],
-                left=fluxes.right,
-                right=fluxes.left,
-                top=fluxes.top[::-1],
-            )
+            underside, left, right, top = fluxes
+            mirrored_fluxes = (underside[::-1], right, left, top[::-1])
             rhs = assemble_rhs(field, material, fluxes, RhsBuffers(g))
             mirrored_rhs = assemble_rhs(flip(field), material, mirrored_fluxes,
                                         RhsBuffers(g))
@@ -484,8 +479,9 @@ class TestWeightedRhsSum:
             fluxes = random_fluxes(g, rng, scale=1e4)
             rhs = assemble_rhs(field, material, fluxes, RhsBuffers(g))
             total = weighted_rhs_sum(field, rhs, g, material)
-            boundary = (g.dx2 * (fluxes.left.sum() + fluxes.right.sum())
-                        + g.dx1 * (fluxes.top.sum() + fluxes.underside.sum()))
+            underside, left, right, top = fluxes
+            boundary = (g.dx2 * (left.sum() + right.sum())
+                        + g.dx1 * (top.sum() + underside.sum()))
             gross = float(np.sum(np.abs(
                 material.volumetric_heat_coefficient(field) * rhs
             )) * g.dx1 * g.dx2)
@@ -508,8 +504,9 @@ class TestWeightedRhsSum:
         fluxes = boundary_fluxes(field, g, exchange, bank, u)
         rhs = assemble_rhs(field, material, fluxes, RhsBuffers(g))
         total = weighted_rhs_sum(field, rhs, g, material)
-        boundary = (g.dx2 * (fluxes.left.sum() + fluxes.right.sum())
-                    + g.dx1 * (fluxes.top.sum() + fluxes.underside.sum()))
+        underside, left, right, top = fluxes
+        boundary = (g.dx2 * (left.sum() + right.sum())
+                    + g.dx1 * (top.sum() + underside.sum()))
         gross = float(np.sum(np.abs(
             material.volumetric_heat_coefficient(field) * rhs
         )) * g.dx1 * g.dx2)
